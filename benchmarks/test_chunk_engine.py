@@ -1,15 +1,18 @@
-"""Measured chunk-engine benchmark: serial baseline vs the parallel engine.
+"""Measured chunk-engine benchmark: per-chunk legacy path vs the sweep.
 
 Times the actual numpy implementations of a single-gate chunked apply -
 the unit of work every functional simulation repeats per gate - and
 compares three paths on the *same* state size in the *same* process:
 
-* ``legacy``   - the gather/compute/scatter arithmetic the serial engine
-  uses for non-diagonal cross-chunk gates (the pre-zero-copy baseline,
-  replicated here verbatim so the comparison survives refactors),
-* ``serial``   - ``ChunkedStateVector.apply`` with ``workers=1``,
-* ``parallel`` - :class:`~repro.statevector.parallel.ParallelChunkEngine`
-  with the benchmark worker count (zero-copy / fused kernels).
+* ``legacy``   - gather/compute/scatter chunk group by chunk group with
+  the dense reference kernels (the pre-sweep engine, replicated here
+  verbatim so the comparison survives refactors),
+* ``serial``   - ``ChunkedStateVector.sweep`` on the calling thread: the
+  gate over all live chunks as one strided view,
+* ``parallel`` - the same sweep through
+  :class:`~repro.statevector.parallel.ParallelChunkEngine` with the
+  benchmark worker count (inline below the engine's floor, so in smoke
+  mode it is the serial path plus the floor check).
 
 Results are printed and written to ``BENCH_kernels.json`` next to the
 working directory; ``benchmarks/check_kernel_regression.py`` compares the
@@ -20,14 +23,12 @@ is portable across hosts).
 The ``fused_*`` cases time whole gate *runs* through
 :func:`~repro.statevector.fusion.fuse_slabs`: the legacy side applies the
 gates one sweep each, the fused sides apply the slab the fusion pass
-produces in one tiled pass.
+produces in one pass.  ``pruned_sweep`` applies a cross-chunk gate to a
+1/16-live subcube whose fixed bits are not a prefix of the chunk index
+(what basis tracking produces), so the gate covers a strided view.
 
 Set ``QGPU_BENCH_SMOKE=1`` for a fast CI-sized run (2^20 amplitudes, one
-repeat); the full run uses 2^22 amplitudes and asserts the headline
-results: the parallel engine at least doubles single-gate chunked-apply
-throughput over the serial baseline, the tiled in-place kernel beats the
-legacy inside-chunk path by >= 1.5x, and the inline-serial floor keeps
-parallel diagonal apply no slower than serial.
+repeat); the full run uses 2^22 amplitudes.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.statevector.apply import apply_gate
 from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
 from repro.statevector.fusion import fuse_slabs
 from repro.statevector.parallel import ParallelChunkEngine
+from repro.statevector.subcube import LiveSubcube
 
 SMOKE = os.environ.get("QGPU_BENCH_SMOKE", "") not in ("", "0")
 
@@ -59,7 +61,14 @@ RESULTS_PATH = Path("BENCH_kernels.json")
 
 _results: dict[str, dict[str, float]] = {}
 
-_CASES = ("cross_chunk_h", "diagonal_rz", "inside_h", "fused_diag", "fused_dense")
+_CASES = (
+    "cross_chunk_h",
+    "diagonal_rz",
+    "inside_h",
+    "fused_diag",
+    "fused_dense",
+    "pruned_sweep",
+)
 
 
 def _random_state(seed: int = 0) -> ChunkedStateVector:
@@ -71,9 +80,11 @@ def _random_state(seed: int = 0) -> ChunkedStateVector:
     return ChunkedStateVector.from_dense(amplitudes, CHUNK_BITS)
 
 
-def _legacy_apply(state: ChunkedStateVector, gate: Gate) -> None:
-    """The pre-zero-copy serial arithmetic: gather, dense kernel, scatter."""
+def _legacy_apply(state: ChunkedStateVector, gate: Gate, live=None) -> None:
+    """The per-chunk engine: enumerate groups, gather, dense kernel, scatter."""
     groups = chunk_pair_groups(state.num_qubits, state.chunk_bits, gate.qubits)
+    if live is not None:
+        groups = [g for g in groups if any(member in live for member in g)]
     outside = [q for q in gate.qubits if q >= state.chunk_bits]
     if not outside:
         for (index,) in groups:
@@ -122,8 +133,13 @@ def _time_paths(timed: list) -> list[float]:
     return best
 
 
-def _record(case: str, legacy_s: float, serial_s: float, parallel_s: float) -> None:
-    amps = float(1 << NUM_QUBITS)
+def _record(
+    case: str,
+    legacy_s: float,
+    serial_s: float,
+    parallel_s: float,
+    amps: float = float(1 << NUM_QUBITS),
+) -> None:
     _results[case] = {
         "legacy_seconds": legacy_s,
         "serial_seconds": serial_s,
@@ -146,7 +162,7 @@ def _emit() -> None:
         "workers": WORKERS,
         "amplitudes": 1 << NUM_QUBITS,
         "repeats": REPEATS,
-        # The headline number: zero-copy diagonal apply vs the gather
+        # The headline number: in-place diagonal multiply vs the gather
         # baseline, the least host-sensitive of the speedups (no BLAS
         # shape effects, no thread scaling required).
         "headline_speedup": _results["diagonal_rz"]["parallel_speedup"],
@@ -164,19 +180,15 @@ def _emit() -> None:
     print(f"  wrote {RESULTS_PATH}")
 
 
-def _measure(gate: Gate) -> tuple[float, float, float]:
+def _measure(gate: Gate, live: LiveSubcube | None = None) -> tuple[float, float, float]:
     with ParallelChunkEngine(WORKERS) as engine:
         state = _random_state()
-        engine.apply_groups(  # one warm-up pass to start threads / allocate scratch
-            state,
-            gate,
-            chunk_pair_groups(NUM_QUBITS, CHUNK_BITS, gate.qubits),
-        )
+        state.sweep(gate, live, engine)  # warm-up: start threads, allocate scratch
         legacy_s, serial_s, parallel_s = _time_paths(
             [
-                (lambda s: _legacy_apply(s, gate), _random_state()),
-                (lambda s: s.apply(gate), _random_state()),
-                (lambda s: s.apply(gate, engine), state),
+                (lambda s: _legacy_apply(s, gate, live), _random_state()),
+                (lambda s: s.sweep(gate, live), _random_state()),
+                (lambda s: s.sweep(gate, live, engine), state),
             ]
         )
     return legacy_s, serial_s, parallel_s
@@ -186,7 +198,7 @@ def _measure_run(gates: list[Gate]) -> tuple[float, float, float]:
     """Like :func:`_measure` for a gate *run* routed through the fusion pass.
 
     Legacy applies every gate one gather sweep at a time; serial and
-    parallel apply the ops :func:`fuse_slabs` produces (one tiled pass per
+    parallel sweep the ops :func:`fuse_slabs` produces (one pass per
     slab).  All gates are unitary, so repeating the whole run keeps the
     timing workload identical.
     """
@@ -198,7 +210,7 @@ def _measure_run(gates: list[Gate]) -> tuple[float, float, float]:
 
     def fused(state: ChunkedStateVector, engine=None) -> None:
         for op in ops:
-            state.apply(op, engine)
+            state.sweep(op, engine=engine)
 
     with ParallelChunkEngine(WORKERS) as engine:
         state = _random_state()
@@ -216,10 +228,9 @@ def _measure_run(gates: list[Gate]) -> tuple[float, float, float]:
 def test_chunk_engine_cross_chunk_single_qubit() -> None:
     """A non-diagonal gate pairing chunks (qubit above chunk_bits).
 
-    The fused kernel eliminates the gather/scatter copies, so the floor
-    here is what a single memory-bandwidth-bound core must clear; thread
-    scaling on multicore hosts pushes the observed speedup well past 2x
-    (each of the 4 workers streams its own contiguous slab).
+    The sweep addresses the amplitude pairs in place - no gather/scatter
+    copies, one batched matmul per cache-sized tile - so the floor here is
+    what a single memory-bandwidth-bound core must clear.
     """
     gate = Gate("h", (NUM_QUBITS - 1,))
     legacy_s, serial_s, parallel_s = _measure(gate)
@@ -227,24 +238,19 @@ def test_chunk_engine_cross_chunk_single_qubit() -> None:
     speedup = legacy_s / parallel_s
     floor = 1.1 if SMOKE else 1.25
     assert speedup >= floor, (
-        f"parallel cross-chunk apply is only x{speedup:.2f} over the serial "
-        f"baseline (floor x{floor})"
+        f"cross-chunk sweep is only x{speedup:.2f} over the per-chunk "
+        f"legacy path (floor x{floor})"
     )
 
 
 def test_chunk_engine_diagonal_cross_chunk() -> None:
-    """The headline case: zero-copy diagonal apply vs gather/scatter.
+    """The headline case: in-place diagonal multiply vs gather/scatter.
 
-    Diagonal gates never mix amplitudes, so the zero-copy path multiplies
-    each chunk in place - one read and one write per amplitude against
-    the baseline's gather, dense apply, and scatter.  The speedup is the
-    least host-sensitive of the three (no BLAS shape effects, no thread
-    scaling needed), so this is where the recipe's >= 2x claim is gated.
-
-    One diagonal sweep at this size sits below the engine's inline-serial
-    work floor, so the "parallel" path runs the identical serial code -
-    the second assert pins that delegation (parallel must not pay pool
-    overhead the work cannot amortise).
+    Diagonal gates never mix amplitudes, so the sweep multiplies the live
+    view in place - one read and one write per amplitude against the
+    legacy gather, dense apply, and scatter.  The speedup is the least
+    host-sensitive of the cases (no BLAS shape effects), so this is where
+    the recipe's >= 2x claim is gated.
     """
     gate = Gate("rz", (NUM_QUBITS - 1,), (0.3,))
     legacy_s, serial_s, parallel_s = _measure(gate)
@@ -252,32 +258,22 @@ def test_chunk_engine_diagonal_cross_chunk() -> None:
     speedup = legacy_s / parallel_s
     floor = 1.5 if SMOKE else 2.0
     assert speedup >= floor, (
-        f"zero-copy diagonal apply is only x{speedup:.2f} over the serial "
-        f"baseline (floor x{floor})"
+        f"diagonal sweep is only x{speedup:.2f} over the per-chunk legacy "
+        f"path (floor x{floor})"
     )
-    if not SMOKE:
-        # Below the inline-serial work floor the parallel engine delegates
-        # to the identical serial kernels, so this compares the same code
-        # path twice: 10% covers run-to-run noise while still catching the
-        # ~2x regression of an actual fan-out on a small sweep.
-        assert parallel_s <= serial_s / 0.90, (
-            f"parallel diagonal apply ({parallel_s:.4f}s) is slower than "
-            f"serial ({serial_s:.4f}s) beyond timing noise: the inline-"
-            "serial work floor is not delegating small sweeps"
-        )
 
 
 def test_chunk_engine_inside_gate() -> None:
-    """A gate fully inside the chunk: tiled in-place kernel vs per-chunk
-    gather-free dense apply (the `inside_h` gap the fusion issue closes)."""
+    """A gate fully inside the chunk: one tiled sweep vs a dense-kernel
+    call per chunk."""
     gate = Gate("h", (CHUNK_BITS - 2,))
     legacy_s, serial_s, parallel_s = _measure(gate)
     _record("inside_h", legacy_s, serial_s, parallel_s)
     if not SMOKE:
         speedup = legacy_s / parallel_s
         assert speedup >= 1.5, (
-            f"tiled in-place inside-chunk apply is only x{speedup:.2f} over "
-            "the legacy per-chunk path (floor x1.5)"
+            f"inside-chunk sweep is only x{speedup:.2f} over the legacy "
+            "per-chunk path (floor x1.5)"
         )
 
 
@@ -285,8 +281,7 @@ def test_chunk_engine_fused_diagonal_run() -> None:
     """Four consecutive diagonal gates fused into one multiplier sweep.
 
     Two qubits outside the chunk and two inside - the slab's combined
-    diagonal replaces four full-state sweeps with one, on top of the
-    zero-copy saving each sweep already had.
+    diagonal replaces four full-state sweeps with one.
     """
     gates = [
         Gate("rz", (NUM_QUBITS - 1,), (0.3,)),
@@ -309,8 +304,8 @@ def test_chunk_engine_fused_diagonal_run() -> None:
 def test_chunk_engine_fused_dense_run() -> None:
     """An h-rz-h chain on one inside qubit fused into a single dense pass.
 
-    The slab contracts three sweeps into one 2x2 applied by the tiled
-    in-place kernel - the inside-chunk traffic saving the issue targets.
+    The slab contracts three sweeps into one 2x2 applied in a single
+    tiled pass.
     """
     gates = [
         Gate("h", (CHUNK_BITS - 2,)),
@@ -329,19 +324,50 @@ def test_chunk_engine_fused_dense_run() -> None:
     )
 
 
+def _pruned_live() -> LiveSubcube:
+    """1/16 of the chunks live, fixed bits interleaved with free ones."""
+    index_bits = NUM_QUBITS - CHUNK_BITS
+    assert index_bits == 6
+    return LiveSubcube(index_bits, fixed_mask=0b101101, fixed_value=0b001001)
+
+
+def test_chunk_engine_pruned_sweep() -> None:
+    """A cross-chunk gate over a 1/16-live, non-prefix subcube.
+
+    The legacy side enumerates every group and filters; the sweep indexes
+    the fixed bits away and updates the strided view in one pass.
+    """
+    live = _pruned_live()
+    gate = Gate("h", (CHUNK_BITS + 4,))  # pairs chunks on a free index bit
+    legacy_s, serial_s, parallel_s = _measure(gate, live)
+    _record(
+        "pruned_sweep", legacy_s, serial_s, parallel_s,
+        amps=float(live.live_chunks << CHUNK_BITS),
+    )
+    speedup = legacy_s / serial_s
+    floor = 1.1 if SMOKE else 1.25
+    assert speedup >= floor, (
+        f"pruned sweep is only x{speedup:.2f} over the per-chunk legacy "
+        f"path (floor x{floor})"
+    )
+
+
 def test_chunk_engine_paths_agree() -> None:
     """The three timed paths produce the same state (sanity, not speed)."""
-    for name, qubit, params in (
-        ("h", NUM_QUBITS - 1, ()),
-        ("rz", NUM_QUBITS - 1, (0.3,)),
-        ("h", CHUNK_BITS - 2, ()),
+    for name, qubit, params, live in (
+        ("h", NUM_QUBITS - 1, (), None),
+        ("rz", NUM_QUBITS - 1, (0.3,), None),
+        ("h", CHUNK_BITS - 2, (), None),
+        ("h", CHUNK_BITS + 4, (), _pruned_live()),
     ):
         gate = Gate(name, (qubit,), params)
         legacy = _random_state(3)
-        _legacy_apply(legacy, gate)
-        serial = _random_state(3).apply(gate)
+        _legacy_apply(legacy, gate, live)
+        serial = _random_state(3)
+        serial.sweep(gate, live)
         with ParallelChunkEngine(WORKERS) as engine:
-            parallel = _random_state(3).apply(gate, engine)
+            parallel = _random_state(3)
+            parallel.sweep(gate, live, engine)
         np.testing.assert_allclose(
             serial.to_dense(), legacy.to_dense(), atol=1e-12
         )
@@ -366,11 +392,11 @@ def test_chunk_engine_fused_paths_agree() -> None:
         _legacy_apply(legacy, gate)
     serial = _random_state(3)
     for op in ops:
-        serial.apply(op)
+        serial.sweep(op)
     with ParallelChunkEngine(WORKERS) as engine:
         parallel = _random_state(3)
         for op in ops:
-            parallel.apply(op, engine)
+            parallel.sweep(op, engine=engine)
     np.testing.assert_allclose(serial.to_dense(), legacy.to_dense(), atol=1e-12)
     np.testing.assert_allclose(parallel.to_dense(), legacy.to_dense(), atol=1e-12)
 

@@ -23,12 +23,17 @@ from __future__ import annotations
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import GateDag
+from repro.core.involvement import qubit_mask
 from repro.errors import CircuitError
 
 
-def _new_qubit_cost(qubits: tuple[int, ...], involved: set[int]) -> int:
-    """Number of ``qubits`` not yet in ``involved`` (Algorithm 3 lines 3-6)."""
-    return sum(1 for q in qubits if q not in involved)
+def _node_masks(dag: GateDag) -> list[int]:
+    """Qubit bitmask of every DAG node, by node index.
+
+    The new qubits a gate would introduce (Algorithm 3 lines 3-6) are then
+    ``(mask & ~involved).bit_count()`` against an involvement bitmask.
+    """
+    return [qubit_mask(node.gate.qubits) for node in dag.nodes]
 
 
 def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> QuantumCircuit:
@@ -46,14 +51,15 @@ def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> 
     dag = GateDag(circuit, commute_diagonals=commute_diagonals)
     pending = {node.index: len(node.predecessors) for node in dag}
     ready = dag.roots()
-    involved: set[int] = set()
+    masks = _node_masks(dag)
+    involved = 0
     order: list[int] = []
 
     while ready:
         best_index = None
         best_cost = None
         for index in ready:
-            cost = _new_qubit_cost(dag.nodes[index].gate.qubits, involved)
+            cost = (masks[index] & ~involved).bit_count()
             if best_cost is None or cost < best_cost or (
                 cost == best_cost and index < best_index
             ):
@@ -61,7 +67,7 @@ def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> 
                 best_index = index
         ready.remove(best_index)
         order.append(best_index)
-        involved.update(dag.nodes[best_index].gate.qubits)
+        involved |= masks[best_index]
         for successor in sorted(dag.nodes[best_index].successors):
             pending[successor] -= 1
             if pending[successor] == 0:
@@ -76,10 +82,11 @@ def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> 
 
 def _look_ahead_cost(
     dag: GateDag,
+    masks: list[int],
     candidate: int,
     ready: list[int],
     pending: dict[int, int],
-    involved: set[int],
+    involved: int,
 ) -> tuple[int, int]:
     """Cost of Algorithm 3: new qubits now plus the cheapest next step.
 
@@ -88,9 +95,8 @@ def _look_ahead_cost(
     zero-cost CNOT before an equal-total Hadamard).  Operates on copies;
     caller state is untouched.
     """
-    gate = dag.nodes[candidate].gate
-    cost_current = _new_qubit_cost(gate.qubits, involved)
-    involved_after = involved | set(gate.qubits)
+    cost_current = (masks[candidate] & ~involved).bit_count()
+    uninvolved_after = ~(involved | masks[candidate])
 
     next_ready = [index for index in ready if index != candidate]
     for successor in dag.nodes[candidate].successors:
@@ -100,8 +106,7 @@ def _look_ahead_cost(
     cost_look_ahead = 0
     if next_ready:
         cost_look_ahead = min(
-            _new_qubit_cost(dag.nodes[index].gate.qubits, involved_after)
-            for index in next_ready
+            (masks[index] & uninvolved_after).bit_count() for index in next_ready
         )
     return cost_current + cost_look_ahead, cost_current
 
@@ -113,14 +118,15 @@ def reorder_forward_looking(
     dag = GateDag(circuit, commute_diagonals=commute_diagonals)
     pending = {node.index: len(node.predecessors) for node in dag}
     ready = dag.roots()
-    involved: set[int] = set()
+    masks = _node_masks(dag)
+    involved = 0
     order: list[int] = []
 
     while ready:
         best_index = None
         best_cost = None
         for index in ready:
-            cost = _look_ahead_cost(dag, index, ready, pending, involved)
+            cost = _look_ahead_cost(dag, masks, index, ready, pending, involved)
             if best_cost is None or cost < best_cost or (
                 cost == best_cost and index < best_index
             ):
@@ -128,7 +134,7 @@ def reorder_forward_looking(
                 best_index = index
         ready.remove(best_index)
         order.append(best_index)
-        involved.update(dag.nodes[best_index].gate.qubits)
+        involved |= masks[best_index]
         for successor in sorted(dag.nodes[best_index].successors):
             pending[successor] -= 1
             if pending[successor] == 0:

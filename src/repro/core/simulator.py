@@ -3,8 +3,8 @@
 :class:`QGpuSimulator` bundles the two halves of the reproduction:
 
 * :meth:`QGpuSimulator.run` - *functional* simulation at tractable widths:
-  applies the version's reordering, executes on the chunked engine, and
-  skips chunk groups that Algorithm 1 proves all-zero.  Returns the exact
+  applies the version's reordering and sweeps each gate over the chunks
+  Algorithm 1 cannot prove all-zero, as one strided view of the state.  Returns the exact
   final state plus pruning statistics, and is bit-identical to a dense
   unoptimized simulation (the paper's "pruning and reordering do not affect
   the simulation results").
@@ -38,7 +38,6 @@ from repro.compression.profile import family_ratio
 from repro.core.basis_tracking import BasisTracker
 from repro.core.executor import TimedExecutor, TimedResult
 from repro.core.involvement import InvolvementTracker
-from repro.core.pruning import chunk_is_pruned
 from repro.core.reorder import reorder
 from repro.core.versions import QGPU, VersionConfig
 from repro.errors import (
@@ -55,11 +54,15 @@ from repro.reliability.checkpoint import load_checkpoint, save_checkpoint
 from repro.reliability.faults import FaultKind, FaultPlan
 from repro.reliability.integrity import ChunkTransferGuard, check_norm
 from repro.reliability.policy import DEFAULT_POLICY, RecoveryPolicy, ReliabilityReport
-from repro.statevector.apply import apply_gate
-from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
+from repro.statevector.chunks import (
+    ChunkedStateVector,
+    chunk_pair_groups,
+    gather_remap,
+)
 from repro.statevector.fusion import slab_members
-from repro.statevector.kernels import set_kernel_counters
+from repro.statevector.kernels import sweep
 from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
+from repro.statevector.subcube import LiveSubcube, outside_mask
 
 
 @dataclass
@@ -137,10 +140,12 @@ class QGpuSimulator:
         reliability_policy: Detection/recovery policy applied when faults
             or integrity guards are active.
         workers: Chunk-worker threads for the functional engine.  The
-            default ``"auto"`` keeps small states on the bit-exact serial
-            path and sizes a thread pool to the host for large ones;
+            default ``"auto"`` sweeps on the calling thread below
+            :data:`~repro.statevector.parallel.AUTO_PARALLEL_THRESHOLD`
+            amplitudes and sizes a thread pool to the host above it;
             ``1`` forces serial everywhere; ``N > 1`` forces a pool of
-            ``N``.  Fault-guarded runs always execute serially (the
+            ``N``, which sweeps with enough live amplitudes are split
+            over.  Fault-guarded runs always execute serially (the
             transfer guard is stateful), whatever this says.
         tracer: Optional :class:`~repro.obs.Tracer`.  Every :meth:`run`
             becomes a nested span tree (run / reorder / per-gate apply /
@@ -282,39 +287,9 @@ class QGpuSimulator:
         """
         tracer = self.tracer
         backend, precision = self._route(circuit, tracer)
-        previous_counters = (
-            set_kernel_counters(
-                tracer.counters, timing=not tracer.clock.deterministic
-            )
-            if tracer is not NULL_TRACER
-            else None
-        )
-        run_span = (
-            tracer.span(
-                "run",
-                circuit=circuit.name,
-                version=self.version.name,
-                backend=backend,
-            )
-            if tracer.enabled
-            else None
-        )
-        try:
-            if run_span is not None:
-                with run_span:
-                    return self._execute(
-                        circuit,
-                        tracer,
-                        backend,
-                        precision,
-                        checkpoint_every=checkpoint_every,
-                        checkpoint_path=checkpoint_path,
-                        resume_from=resume_from,
-                        stop_after=stop_after,
-                        workers=workers,
-                        fusion=fusion,
-                        cancel=cancel,
-                    )
+        with tracer.span(
+            "run", circuit=circuit.name, version=self.version.name, backend=backend
+        ):
             return self._execute(
                 circuit,
                 tracer,
@@ -328,9 +303,6 @@ class QGpuSimulator:
                 fusion=fusion,
                 cancel=cancel,
             )
-        finally:
-            if tracer is not NULL_TRACER:
-                set_kernel_counters(*previous_counters)
 
     # -- planner routing ----------------------------------------------------
 
@@ -684,40 +656,43 @@ class QGpuSimulator:
                     tracker.involve(
                         member, diagonal_aware=self.version.diagonal_aware_pruning
                     )
-                groups = chunk_pair_groups(n, state.chunk_bits, gate.qubits)
-                total_updates += len(groups)
-                if self.version.pruning:
-                    def pruned(member: int) -> bool:
-                        if basis is not None:
-                            return basis.chunk_is_pruned(member, state.chunk_bits)
-                        return chunk_is_pruned(member, state.chunk_bits, tracker.mask)
-
-                    live_groups = []
-                    for members in groups:
-                        if all(pruned(m) for m in members):
-                            skipped_updates += 1
-                        else:
-                            live_groups.append(members)
-                    groups = live_groups
+                if not self.version.pruning:
+                    live = LiveSubcube(n - state.chunk_bits)
+                elif basis is not None:
+                    live = LiveSubcube.from_fixed_qubits(
+                        n, state.chunk_bits, *basis.fixed_masks()
+                    )
+                else:
+                    live = LiveSubcube.from_involvement(
+                        n, state.chunk_bits, tracker.mask
+                    )
+                outside = outside_mask(gate.qubits, state.chunk_bits)
+                groups_total, groups_live = live.group_counts(outside)
+                total_updates += groups_total
+                skipped_updates += groups_total - groups_live
                 if not applying:
                     continue
-                if guard is not None:
-                    guard.begin_gate(index)
-                if tracer.enabled and tracer.histograms and groups:
-                    members = sum(len(g) for g in groups)
+                if tracer.enabled and tracer.histograms:
                     tracer.counters.histogram("chunk_bytes").observe(
-                        members * (AMP_BYTES << state.chunk_bits)
+                        (groups_live << outside.bit_count())
+                        * (AMP_BYTES << state.chunk_bits)
                     )
-                if tracer.enabled:
-                    with tracer.span(
-                        f"apply:{gate.name}",
-                        stage="compute",
-                        gate=index,
-                        groups=len(groups),
-                    ):
-                        self._apply_groups(state, gate, groups, guard, engine, tracer)
-                else:
-                    self._apply_groups(state, gate, groups, guard, engine, tracer)
+                with tracer.span(
+                    f"apply:{gate.name}", stage="compute", gate=index, groups=groups_live
+                ):
+                    if guard is None:
+                        state.sweep(gate, live, engine, tracer)
+                    else:
+                        guard.begin_gate(index)
+                        relaxed = live.relaxed(outside)
+                        groups = [
+                            members
+                            for members in chunk_pair_groups(
+                                n, state.chunk_bits, gate.qubits
+                            )
+                            if members[0] in relaxed
+                        ]
+                        self._apply_guarded(state, gate, groups, guard, tracer)
                 cursor = index + 1
                 if policy.norm_check_every and cursor % policy.norm_check_every == 0:
                     with tracer.span("norm_check", stage="integrity", gate=index):
@@ -791,48 +766,41 @@ class QGpuSimulator:
         )
 
     @staticmethod
-    def _apply_groups(
+    def _apply_guarded(
         state: ChunkedStateVector,
         gate,
         groups: list[tuple[int, ...]],
-        guard: ChunkTransferGuard | None = None,
-        engine: ParallelChunkEngine | None = None,
+        guard: ChunkTransferGuard,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        """Apply ``gate`` to the listed chunk groups only.
+        """Apply ``gate`` group by group through the fault-injecting link.
 
-        Unguarded runs delegate to the state's group application (serial
-        bit-exact path, or the ``engine``'s worker pool when one is
-        given).  With a ``guard``, every chunk buffer crosses the
+        The one path that stays per-chunk: every chunk buffer crosses the
         simulated link twice (H2D before the update, D2H after), so
         injected transfer faults corrupt real data and recovery is
-        exercised end-to-end; guarded application is always serial.  Each
-        direction of a guarded transfer becomes an ``h2d``/``d2h`` span
-        nested in the caller's gate span.
+        exercised end-to-end, in a deterministic injection order.  Each
+        direction becomes an ``h2d``/``d2h`` span nested in the caller's
+        gate span.  The update itself is the sweep kernel on the
+        transferred buffer, so a recovered run is bit-identical to an
+        unguarded one.
         """
-        if guard is None:
-            state.apply_groups(gate, groups, engine)
-            return
         outside = [q for q in gate.qubits if q >= state.chunk_bits]
         if not outside:
             for (index,) in groups:
                 with tracer.span("h2d", stage="h2d", chunk=index):
                     on_device = guard.transfer(state.chunks[index], f"h2d chunk {index}")
-                apply_gate(on_device, gate)
+                sweep(on_device, gate)
                 with tracer.span("d2h", stage="d2h", chunk=index):
                     state.chunks[index][...] = guard.transfer(
                         on_device, f"d2h chunk {index}"
                     )
             return
-        mapping = {q: q for q in gate.qubits if q < state.chunk_bits}
-        for rank, q in enumerate(sorted(outside)):
-            mapping[q] = state.chunk_bits + rank
-        remapped = gate.remapped(mapping)
+        remapped = gather_remap(gate, state.chunk_bits)
         for members in groups:
             gathered = np.concatenate([state.chunks[m] for m in members])
             with tracer.span("h2d", stage="h2d", group=members[0]):
                 on_device = guard.transfer(gathered, f"h2d group {members[0]}")
-            apply_gate(on_device, remapped)
+            sweep(on_device, remapped)
             with tracer.span("d2h", stage="d2h", group=members[0]):
                 gathered = guard.transfer(on_device, f"d2h group {members[0]}")
             for position, member in enumerate(members):

@@ -2,11 +2,11 @@
 
 The analysis layer already places *modelled* runs on a device roofline
 (:mod:`repro.analysis.roofline`, Fig. 15); this module is the measured
-side of the same picture.  The chunk engines accumulate, per kernel kind,
+side of the same picture.  The chunk engine accumulates, per kernel kind,
 the amplitudes touched, the bytes moved under the DES cost model's
 read+write convention (``2 * itemsize * amps`` - see
-:func:`repro.statevector.kernels.kernel_work`), and the wall seconds of
-every batched dispatch.  From those three counters -
+:meth:`repro.statevector.chunks.ChunkedStateVector.sweep`), and the wall
+seconds of every sweep.  From those three counters -
 ``kernel_amps.<kind>`` / ``kernel_bytes.<kind>`` /
 ``kernel_seconds.<kind>``, present in every metrics export and embedded
 in every trace's counter metadata - :func:`kernel_rooflines` derives each
@@ -44,10 +44,8 @@ class KernelRoofline:
     """Measured roofline placement of one kernel kind.
 
     Attributes:
-        kind: Kernel kind (``diagonal``, ``dense``, ``inside_fused``, ...).
-        calls: Batched dispatches recorded (``kernels.<kind>`` counts
-            per-chunk invocations for some kinds, so this is the raw
-            counter value, reported as-is).
+        kind: Kernel kind (``diagonal`` or ``dense``).
+        calls: Sweeps recorded (``kernels.<kind>``, one per applied op).
         amps: Total amplitudes touched.
         bytes: Total bytes moved (DES convention: read + write per amp).
         seconds: Total wall seconds across dispatches.

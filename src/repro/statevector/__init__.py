@@ -25,9 +25,9 @@ from repro.statevector.expectation import (
 from repro.statevector.io import dump_state, load_state, roundtrip_bytes
 from repro.statevector.kernels import (
     apply_diagonal_chunk,
-    apply_pair,
-    apply_single_qubit_fused,
     chunk_diagonal_factor,
+    subcube_view,
+    sweep,
 )
 from repro.statevector.measure import (
     expectation_z,
@@ -41,9 +41,9 @@ from repro.statevector.parallel import (
     ChunkWorkerPool,
     ParallelChunkEngine,
     resolve_workers,
-    worker_assignment,
 )
 from repro.statevector.state import StateVector, simulate
+from repro.statevector.subcube import LiveSubcube, outside_mask
 
 __all__ = [
     "AUTO_PARALLEL_THRESHOLD",
@@ -51,6 +51,7 @@ __all__ = [
     "ChunkedStateVector",
     "DensityMatrix",
     "KrausChannel",
+    "LiveSubcube",
     "Observable",
     "ParallelChunkEngine",
     "PauliString",
@@ -61,9 +62,7 @@ __all__ = [
     "apply_diagonal_chunk",
     "apply_gate",
     "apply_matrix",
-    "apply_pair",
     "apply_pauli",
-    "apply_single_qubit_fused",
     "chunk_diagonal_factor",
     "chunk_pair_groups",
     "depolarizing",
@@ -74,11 +73,13 @@ __all__ = [
     "load_state",
     "marginal_probability",
     "most_probable",
+    "outside_mask",
     "phase_damping",
     "probabilities",
     "resolve_workers",
     "roundtrip_bytes",
     "sample_counts",
     "simulate",
-    "worker_assignment",
+    "subcube_view",
+    "sweep",
 ]

@@ -15,32 +15,35 @@ chunk-schedule logic can be validated against a functional ground truth:
 running a circuit chunked must be bit-identical to running it dense.
 
 Storage is one contiguous backing buffer with the chunks as views into it
-(chunk ``i`` occupies ``[i * 2^m, (i + 1) * 2^m)``), so cross-chunk
-kernels can address amplitude pairs directly instead of gathering copies;
-see :mod:`repro.statevector.kernels`.  The serial (``workers=1``) path
-keeps the baseline gather arithmetic for non-diagonal cross-chunk gates -
-bit-identical to the original engine - while diagonal gates always take
-the in-place zero-copy kernel (provably the same multiply per amplitude).
-``workers > 1`` hands whole chunk groups to the persistent thread pool of
-:class:`~repro.statevector.parallel.ParallelChunkEngine`.
+(chunk ``i`` occupies ``[i * 2^m, (i + 1) * 2^m)``).  Two ways of applying
+a gate share one kernel (:func:`repro.statevector.kernels.sweep`):
+
+* :meth:`ChunkedStateVector.sweep` - what every run executes: the gate is
+  applied to all unpruned chunks at once, as one strided view of the
+  backing selected by a :class:`~repro.statevector.subcube.LiveSubcube`;
+* :meth:`ChunkedStateVector.apply_groups` - the Fig. 1 reference: an
+  explicit list of chunk groups, each gathered, updated and scattered on
+  its own.  Tests compare the sweep against it bit for bit.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.errors import SimulationError
-from repro.statevector.apply import apply_gate
+from repro.obs.tracer import NULL_TRACER
 from repro.statevector.fusion import GateSlab, fuse_slabs, slab_members
 from repro.statevector.kernels import (
     apply_diagonal_chunk,
-    apply_single_qubit_inplace,
     chunk_diagonal_factor,
-    count_kernel,
-    kernel_work,
+    sweep,
 )
+from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
+from repro.statevector.subcube import LiveSubcube, outside_mask
 
 
 def chunk_pair_groups(
@@ -73,6 +76,20 @@ def chunk_pair_groups(
             members.append(index)
         groups.append(tuple(members))
     return groups
+
+
+def gather_remap(gate: Gate, chunk_bits: int) -> Gate:
+    """``gate`` as it acts on one gathered group of chunks.
+
+    Gathered index = ``(member rank << chunk_bits) | offset`` with the
+    rank bits ordered by ascending outside qubit, so the outside qubits
+    move down onto the bits just above the chunk.
+    """
+    mapping = {q: q for q in gate.qubits if q < chunk_bits}
+    outside = sorted(q for q in gate.qubits if q >= chunk_bits)
+    for rank, q in enumerate(outside):
+        mapping[q] = chunk_bits + rank
+    return gate.remapped(mapping)
 
 
 class ChunkedStateVector:
@@ -132,22 +149,6 @@ class ChunkedStateVector:
             ]
         return self._chunks
 
-    def swap_backing(self, new_backing: np.ndarray) -> np.ndarray:
-        """Adopt ``new_backing`` as the amplitude buffer; return the old one.
-
-        The double-buffer handoff of the fused kernels: after a whole-state
-        kernel writes the updated amplitudes into a scratch buffer, the
-        buffers trade places instead of copying back.  Chunk views are
-        re-derived lazily; any previously obtained views keep addressing
-        the *old* buffer.
-        """
-        if new_backing.shape != self._backing.shape or new_backing.dtype != self._backing.dtype:
-            raise SimulationError("swap_backing buffer must match the state layout")
-        old = self._backing
-        self._backing = new_backing
-        self._chunks = None
-        return old
-
     def to_dense(self) -> np.ndarray:
         """A dense copy of the full ``2^n`` vector."""
         return self._backing.copy()
@@ -175,93 +176,96 @@ class ChunkedStateVector:
         out._backing[...] = amplitudes
         return out
 
-    def apply(self, gate: Gate, engine=None) -> "ChunkedStateVector":
-        """Apply one gate to every chunk group (Fig. 1 mechanics).
+    def apply(self, gate: Gate) -> "ChunkedStateVector":
+        """Apply one gate to the whole state (every chunk group live)."""
+        self.sweep(gate)
+        return self
 
-        Args:
-            gate: The gate to apply.
-            engine: Optional
-                :class:`~repro.statevector.parallel.ParallelChunkEngine`;
-                when given, chunk groups execute on its worker pool.
-        """
-        groups = chunk_pair_groups(self.num_qubits, self.chunk_bits, gate.qubits)
-        return self.apply_groups(gate, groups, engine)
-
-    def apply_groups(
+    def sweep(
         self,
         gate: Gate,
-        groups: list[tuple[int, ...]],
-        engine=None,
-    ) -> "ChunkedStateVector":
-        """Apply ``gate`` to the listed chunk groups only.
+        live: LiveSubcube | None = None,
+        engine: ParallelChunkEngine | None = None,
+        tracer=NULL_TRACER,
+    ) -> tuple[int, int]:
+        """Apply ``gate`` to every chunk group with a live member, at once.
 
-        The pruning-aware callers (:class:`~repro.core.QGpuSimulator` and
-        :meth:`run` with ``pruning=True``) pass the live subset of
-        :func:`chunk_pair_groups`; a skipped group is provably all-zero
-        and unchanged by any unitary.
+        Args:
+            gate: A :class:`Gate` or
+                :class:`~repro.statevector.fusion.GateSlab`.
+            live: The unpruned chunks (default: all of them).  Groups
+                are live if any member is, so pruned partners of a live
+                chunk are updated too - they may receive amplitude.
+            engine: Optional worker pool; sweeps above its floor are split
+                into one contiguous share per worker.
+            tracer: Kernel work of the sweep (``kernels.<kind>``,
+                ``kernel_amps.`` / ``kernel_bytes.`` / ``kernel_seconds.``)
+                is recorded into this tracer's counters.
 
-        ``gate`` may be a :class:`~repro.statevector.fusion.GateSlab`; it
-        flows through the same dispatch by duck-typing :class:`Gate`
-        (width-1 dense slabs additionally take the tiled in-place kernel,
-        amortizing one sweep over every fused member).
+        Returns:
+            ``(total, live)`` chunk-group counts of the gate.
         """
-        if isinstance(gate, GateSlab) and len(gate.gates) > 1:
-            count_kernel("fused_slab")
-        if engine is not None:
-            engine.apply_groups(self, gate, groups)
-            return self
-        itemsize = np.dtype(self.dtype).itemsize
+        if live is None:
+            live = LiveSubcube(self.num_qubits - self.chunk_bits)
+        outside = outside_mask(gate.qubits, self.chunk_bits)
+        total_groups, live_groups = live.group_counts(outside)
+        live = live.relaxed(outside)
+        fixed_mask = live.fixed_mask << self.chunk_bits
+        fixed_value = live.fixed_value << self.chunk_bits
+        counters = tracer.counters if tracer is not NULL_TRACER else None
+        timed = counters is not None and not tracer.clock.deterministic
+        start = time.perf_counter() if timed else 0.0
+        if engine is None:
+            sweep(self._backing, gate, fixed_mask, fixed_value, self.chunk_bits)
+        else:
+            engine.sweep(self._backing, gate, fixed_mask, fixed_value, self.chunk_bits)
+        if counters is not None:
+            kind = "diagonal" if gate.is_diagonal else "dense"
+            amps = live.live_chunks << self.chunk_bits
+            counters.count(f"kernels.{kind}")
+            if isinstance(gate, GateSlab) and len(gate.gates) > 1:
+                counters.count("kernels.fused_slab")
+            counters.add(f"kernel_amps.{kind}", amps)
+            # The DES cost model's convention: every touched amplitude is
+            # read and written once.
+            counters.add(f"kernel_bytes.{kind}", 2 * amps * self.dtype.itemsize)
+            if timed:
+                counters.add(f"kernel_seconds.{kind}", time.perf_counter() - start)
+        return total_groups, live_groups
+
+    def apply_groups(
+        self, gate: Gate, groups: list[tuple[int, ...]]
+    ) -> "ChunkedStateVector":
+        """Apply ``gate`` to the listed chunk groups only, one at a time.
+
+        The Fig. 1 mechanics, kept as the reference :meth:`sweep` is
+        tested against: a group inside the chunk is updated in place, a
+        group pairing chunks is gathered into one buffer, updated and
+        scattered back.  Each buffer goes through the same kernel as the
+        sweep, so the two agree bit for bit.
+        """
+        chunks = self.chunks
         if gate.is_diagonal:
             # Diagonal gates never mix amplitudes: multiply each member
-            # chunk in place (zero-copy, bit-identical to the gathered
-            # path - the same multiplier hits the same amplitude).
-            member_count = sum(len(members) for members in groups)
-            count_kernel("diagonal", member_count)
-            with kernel_work("diagonal", member_count << self.chunk_bits, itemsize):
-                cache: dict[int, np.ndarray | complex] = {}
-                chunks = self.chunks
-                for members in groups:
-                    for member in members:
-                        apply_diagonal_chunk(
-                            chunks[member], gate, self.chunk_bits, member, cache
-                        )
-            return self
-        outside = [q for q in gate.qubits if q >= self.chunk_bits]
-        if not outside:
-            count_kernel("dense", len(groups))
-            with kernel_work("dense", len(groups) << self.chunk_bits, itemsize):
-                chunks = self.chunks
-                if isinstance(gate, GateSlab) and gate.num_qubits == 1:
-                    # A width-1 dense slab (e.g. h.rz.h on one qubit): one
-                    # tiled in-place sweep instead of a gather per member gate.
-                    matrix = gate.matrix()
-                    qubit = gate.qubits[0]
-                    for (index,) in groups:
-                        apply_single_qubit_inplace(chunks[index], matrix, qubit)
-                else:
-                    for (index,) in groups:
-                        apply_gate(chunks[index], gate)
-            return self
-        count_kernel("gather", len(groups))
-        gathered_amps = sum(len(members) for members in groups) << self.chunk_bits
-        with kernel_work("gather", gathered_amps, itemsize):
-            # Baseline serial path: remap outside qubits onto the extra axes
-            # of the gathered buffer - gathered index = (member rank <<
-            # chunk_bits) | offset, member rank bits ordered by ascending
-            # outside qubit.
-            ascending_outside = sorted(outside)
-            mapping = {q: q for q in gate.qubits if q < self.chunk_bits}
-            for rank, q in enumerate(ascending_outside):
-                mapping[q] = self.chunk_bits + rank
-            remapped = gate.remapped(mapping)
-
-            chunks = self.chunks
+            # chunk in place by the factor its index selects.
+            cache: dict[int, np.ndarray | complex] = {}
             for members in groups:
-                gathered = np.concatenate([chunks[index] for index in members])
-                apply_gate(gathered, remapped)
-                for position, index in enumerate(members):
-                    start = position << self.chunk_bits
-                    chunks[index][...] = gathered[start : start + self.chunk_size]
+                for member in members:
+                    apply_diagonal_chunk(
+                        chunks[member], gate, self.chunk_bits, member, cache
+                    )
+            return self
+        if not outside_mask(gate.qubits, self.chunk_bits):
+            for (index,) in groups:
+                sweep(chunks[index], gate)
+            return self
+        remapped = gather_remap(gate, self.chunk_bits)
+        for members in groups:
+            gathered = np.concatenate([chunks[index] for index in members])
+            sweep(gathered, remapped)
+            for position, index in enumerate(members):
+                start = position << self.chunk_bits
+                chunks[index][...] = gathered[start : start + self.chunk_size]
         return self
 
     def run(
@@ -277,9 +281,9 @@ class ChunkedStateVector:
 
         Args:
             circuit: Circuit matching this state's width.
-            workers: Chunk-worker threads; ``1`` (default) is the serial,
-                bit-exact baseline path, ``"auto"`` sizes the pool to the
-                host, and ``N > 1`` runs chunk groups on ``N`` threads.
+            workers: Chunk-worker threads; ``1`` (default) sweeps on the
+                calling thread, ``"auto"`` sizes a pool to the host, and
+                ``N > 1`` splits large sweeps over ``N`` threads.
             pruning: Consult an
                 :class:`~repro.core.involvement.InvolvementTracker` along
                 the way (Algorithm 1's window) and skip chunk groups whose
@@ -299,31 +303,19 @@ class ChunkedStateVector:
             )
         if fusion not in ("on", "off"):
             raise SimulationError(f"fusion must be 'on' or 'off', got {fusion!r}")
-        # Imported lazily: repro.core's package __init__ pulls in the
-        # simulator, which imports this module - importing at the top
-        # would cycle.
-        from repro.obs.tracer import NULL_TRACER
-        from repro.statevector.kernels import set_kernel_counters
-        from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
-
         if tracer is None:
             tracer = NULL_TRACER
 
         tracker = None
         if pruning:
+            # Imported lazily: repro.core's package __init__ pulls in the
+            # simulator, which imports this module.
             from repro.core.involvement import InvolvementTracker
 
             tracker = InvolvementTracker(self.num_qubits)
 
         resolved = resolve_workers(workers, 1 << self.num_qubits)
         engine = ParallelChunkEngine(resolved, tracer) if resolved > 1 else None
-        previous_counters = (
-            set_kernel_counters(
-                tracer.counters, timing=not tracer.clock.deterministic
-            )
-            if tracer is not NULL_TRACER
-            else None
-        )
         ops = (
             fuse_slabs(list(circuit), chunk_bits=self.chunk_bits)
             if fusion == "on"
@@ -331,43 +323,27 @@ class ChunkedStateVector:
         )
         try:
             for position, gate in enumerate(ops):
-                groups = chunk_pair_groups(self.num_qubits, self.chunk_bits, gate.qubits)
+                live = None
                 if tracker is not None:
-                    from repro.core.pruning import chunk_is_pruned
-
                     # A slab only moves amplitude within its group (indices
                     # differing on union-qubit bits), so involving every
                     # member before pruning with the post-slab mask is exact.
                     for member in slab_members(gate):
                         tracker.involve(member)
-                    live = [
-                        members
-                        for members in groups
-                        if not all(
-                            chunk_is_pruned(m, self.chunk_bits, tracker.mask)
-                            for m in members
-                        )
-                    ]
-                    if tracer is not NULL_TRACER:
-                        tracer.counters.count(
-                            "chunks.pruned",
-                            sum(len(g) for g in groups) - sum(len(g) for g in live),
-                        )
-                    groups = live
-                if tracer.enabled:
-                    with tracer.span(
-                        f"apply:{gate.name}", stage="compute", gate=position
-                    ):
-                        self.apply_groups(gate, groups, engine)
-                else:
-                    self.apply_groups(gate, groups, engine)
-                if tracer is not NULL_TRACER:
-                    tracer.counters.count(
-                        "chunks.updated", sum(len(g) for g in groups)
+                    live = LiveSubcube.from_involvement(
+                        self.num_qubits, self.chunk_bits, tracker.mask
                     )
+                with tracer.span(f"apply:{gate.name}", stage="compute", gate=position):
+                    total, updated = self.sweep(gate, live, engine, tracer)
+                if tracer is not NULL_TRACER:
+                    # Groups of 2^paired member chunks each.
+                    paired = outside_mask(gate.qubits, self.chunk_bits).bit_count()
+                    tracer.counters.count("chunks.updated", updated << paired)
+                    if tracker is not None:
+                        tracer.counters.count(
+                            "chunks.pruned", (total - updated) << paired
+                        )
         finally:
-            if tracer is not NULL_TRACER:
-                set_kernel_counters(*previous_counters)
             if engine is not None:
                 engine.close()
         return self

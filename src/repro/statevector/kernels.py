@@ -1,413 +1,291 @@
-"""Zero-copy chunk kernels for the functional engine.
+"""Kernels of the functional engine: one gate over one strided view.
 
-The baseline chunked engine (Fig. 1 mechanics) applies a cross-chunk gate
-by *gathering* the paired chunks into a fresh ``2x``-sized buffer with
-``np.concatenate``, running the dense kernel on it, and scattering the
-result back.  Per pair group that is two full copies of the data on top of
-the arithmetic - pure memory traffic the GPU recipes in the paper never
-pay, because a real simulator indexes amplitude pairs in place.
+The chunked engine used to apply a gate chunk by chunk - one numpy call
+per 16 KiB - and spent most of a run in call dispatch.  The live chunks
+of a gate form a subcube of the chunk-index space
+(:mod:`repro.statevector.subcube`), so the amplitudes a gate has to touch
+are one basic-slicing *view* of the backing buffer:
 
-This module provides the copy-avoiding equivalents, all operating directly
-on the chunk storage:
+* :func:`subcube_view` reshapes the buffer into runs of index bits, indexes
+  the fixed bits away and gives every gate qubit its own axis.  Pruned
+  memory is not part of the view, so it is never read or written.
+* :func:`sweep` applies a gate or :class:`~repro.statevector.fusion.GateSlab`
+  to that view: a broadcast in-place multiply for diagonals, the control
+  axes indexed at 1 for ``cx``/``cy``/``ccx``, and a matmul for dense
+  ops.  Dense ops are tiled over the most significant free bits so the
+  temporaries stay cache-sized whatever the state size; ``part``/``parts``
+  give each worker one contiguous range of tiles.
 
-* :func:`apply_pair` - the 2x2 amplitude-pair kernel for a single-qubit
-  gate whose qubit selects the chunk index (the dominant cross-chunk
-  case): both chunk arrays are updated in place, no concatenation, no
-  temporary double-size buffer.
-* :func:`apply_single_qubit_inplace` - the tiled *in-place* sweep the
-  parallel engine runs whenever every chunk group of a single-qubit gate
-  (or width-1 slab) is live: the buffer is viewed as ``(above, 2, below)``
-  and each L2-sized tile runs one batched matmul into a thread-local
-  scratch, copied back while the tile is still hot.  No second full-size
-  buffer, so the sweep never pays write-allocate traffic on a cold
-  destination; real gate matrices additionally run on the float view of
-  the buffer (half the arithmetic for the same traffic).
-* :func:`apply_single_qubit_fused` - the out-of-place sibling for callers
-  that want the result in a distinct buffer: one batched
-  ``(2,2) @ (groups, 2, w)`` matmul from ``source`` into ``dest`` (swap
-  afterwards - zero copy-back).  Slabs of the batch axis can be
-  dispatched to different workers.
-* :func:`chunk_diagonal_factor` / :func:`apply_diagonal_chunk` - diagonal
-  gates never pair chunks at all: each amplitude is multiplied by a phase
-  selected by its own index bits, so every chunk updates in place with a
-  multiplier vector derived from the chunk index.  Bit-identical to the
-  gathered path (the same complex multiplier hits the same amplitude).
-  Fusion slabs (:mod:`repro.statevector.fusion`) flow through the same
-  entry points by duck-typing :class:`~repro.circuits.gates.Gate`.
+The same :func:`sweep` runs on a single chunk or a gathered group (nothing
+fixed, one tile), which is how the per-chunk reference path
+(:meth:`ChunkedStateVector.apply_groups`) and the fault-guarded path stay
+bit-identical to the whole-state sweep: every path does the same
+arithmetic on each amplitude.
 
-All kernels are shape-agnostic numpy; the worker pool in
-:mod:`repro.statevector.parallel` distributes them across chunk groups.
+:func:`chunk_diagonal_factor` / :func:`apply_diagonal_chunk` are the
+per-chunk form of the diagonal multiply, kept for the reference path.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from itertools import islice
 
 import numpy as np
 
 from repro.circuits.gates import Gate
-from repro.errors import SimulationError
+from repro.statevector.subcube import qubit_mask
 
-#: Installed :class:`~repro.obs.counters.CounterRegistry` (or None).  A
-#: module-level hook rather than a parameter so the hot kernel call sites
-#: stay signature-stable; dispatchers count per *gate* (batched), never per
-#: chunk, so the disabled cost is one None-check per gate.
-_kernel_counters = None
+#: Amplitudes per dense tile: tile, gathered operand and matmul result
+#: stay L2-resident together (measured fastest at 2^14-2^15 across qubit
+#: positions on 2^22 amplitudes; larger tiles spill, smaller ones pay
+#: more Python per amplitude).
+_TILE_AMPS = 1 << 15
 
-#: Whether dispatch wall-timing (``kernel_seconds.<kind>``) is recorded.
-#: Deterministic-clock runs install ``timing=False``: wall seconds would
-#: break the byte-identical logical-clock trace promise, while the
-#: amps/bytes work counters are exact integers and stay.
-_kernel_timing = True
+#: A single-qubit gate runs as one batched ``(2,2) @ (..., 2, cols)``
+#: matmul straight off the view when the contiguous run below the qubit
+#: is at least this long; below it numpy issues one tiny GEMM per pair of
+#: rows and the gather-then-matmul form is faster.
+_MATMUL_MIN_COLS = 64
 
-
-def set_kernel_counters(registry, timing=True):
-    """Install the registry kernel work is recorded into.
-
-    Pass ``None`` to disable counting; ``timing=False`` keeps the
-    deterministic amps/bytes counters but skips wall-seconds (what the
-    simulator installs for logical-clock tracers).  Returns the previous
-    ``(registry, timing)`` pair - restore it with
-    ``set_kernel_counters(*previous)``.
-    """
-    global _kernel_counters, _kernel_timing
-    previous = (_kernel_counters, _kernel_timing)
-    _kernel_counters = registry
-    _kernel_timing = timing
-    return previous
-
-
-def count_kernel(kind: str, n: int = 1) -> None:
-    """Record ``n`` kernel invocations of ``kind`` (no-op when uninstalled)."""
-    registry = _kernel_counters
-    if registry is not None:
-        registry.count(f"kernels.{kind}", n)
-
-
-class _NullWork:
-    """Shared no-op work scope for the uninstalled-registry path."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullWork":
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        return False
-
-
-_NULL_WORK = _NullWork()
-
-
-class _KernelWork:
-    """Times one batched kernel dispatch; records amps, bytes, seconds."""
-
-    __slots__ = ("kind", "amps", "nbytes", "_start")
-
-    def __init__(self, kind: str, amps: int, nbytes: int) -> None:
-        self.kind = kind
-        self.amps = amps
-        self.nbytes = nbytes
-        self._start = 0.0
-
-    def __enter__(self) -> "_KernelWork":
-        self._start = time.perf_counter() if _kernel_timing else 0.0
-        return self
-
-    def __exit__(self, *exc_info: object) -> bool:
-        registry = _kernel_counters
-        if registry is not None:
-            if _kernel_timing:
-                elapsed = time.perf_counter() - self._start
-                registry.add(f"kernel_seconds.{self.kind}", elapsed)
-            registry.add(f"kernel_amps.{self.kind}", self.amps)
-            registry.add(f"kernel_bytes.{self.kind}", self.nbytes)
-        return False
-
-
-def kernel_work(kind: str, amps: int, itemsize: int = 16):
-    """Work scope around one batched kernel dispatch of ``kind``.
-
-    Use as a context manager wrapping the whole per-gate dispatch (never
-    per chunk); on exit it accumulates ``kernel_seconds.<kind>``,
-    ``kernel_amps.<kind>`` and ``kernel_bytes.<kind>`` into the installed
-    registry - the live-roofline inputs :mod:`repro.obs.roofline` turns
-    into achieved amps/s and bytes/amp per kernel kind.
-
-    Bytes use the DES cost model's convention (read + write every touched
-    amplitude: ``2 * amps * itemsize``, see
-    :class:`~repro.core.executor`), so achieved bandwidth is directly
-    comparable with the model's bound; kinds that move extra traffic
-    (``gather``'s copy in/out) simply land further from the roof, which
-    is the point of measuring them.
-
-    When no registry is installed this returns a shared no-op scope: the
-    disabled cost is one module-global read per gate.
-    """
-    if _kernel_counters is None:
-        return _NULL_WORK
-    return _KernelWork(kind, amps, 2 * amps * itemsize)
-
-
-#: Amplitudes each fused matmul call touches: ~4 MiB of complex128, sized
-#: so one tile's read+write traffic stays cache-resident (measured fastest
-#: across qubit positions at 2^20-2^22 amplitudes).
-_TILE_AMPS = 1 << 18
-
-#: Pair elements per scratch tile for the in-place kernels: sized so a
-#: whole (tile, scratch) working set stays L2-resident - measured fastest
-#: at 256-512 KiB across qubit positions, distinctly ahead of both larger
-#: tiles (L2 spill) and whole-buffer double-buffering (write-allocate
-#: traffic on a second full-size destination).
-_SCRATCH_AMPS = 1 << 15
-
-#: Thread-local scratch store: the tiled in-place kernels reuse two
-#: _SCRATCH_AMPS-sized vectors per (thread, dtype) instead of allocating
-#: fresh full-chunk temporaries on every call.
+#: Thread-local scratch: two tile-sized vectors per (thread, dtype), so a
+#: sweep allocates nothing per tile.
 _scratch_store = threading.local()
 
 
-def _pair_scratch(dtype: np.dtype, amps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two thread-local scratch vectors of at least ``amps`` elements."""
-    buffers = getattr(_scratch_store, "buffers", None)
-    if buffers is None:
-        buffers = _scratch_store.buffers = {}
-    key = np.dtype(dtype).str
-    pair = buffers.get(key)
-    if pair is None or pair[0].size < amps:
-        size = max(amps, _SCRATCH_AMPS)
-        pair = buffers[key] = (
-            np.empty(size, dtype=dtype),
-            np.empty(size, dtype=dtype),
-        )
-    return pair
+def _scratch(dtype: np.dtype, elems: int, slot: int) -> np.ndarray:
+    """Thread-local contiguous scratch vector ``slot`` of ``elems`` elements."""
+    vectors = getattr(_scratch_store, "vectors", None)
+    if vectors is None:
+        vectors = _scratch_store.vectors = {}
+    key = (np.dtype(dtype).str, slot)
+    vector = vectors.get(key)
+    if vector is None or vector.size < elems:
+        vector = vectors[key] = np.empty(max(elems, _TILE_AMPS), dtype=dtype)
+    return vector[:elems]
 
 
-def _tile_scratch(dtype: np.dtype, elems: int) -> np.ndarray:
-    """One thread-local contiguous scratch vector of at least ``elems``."""
-    tiles = getattr(_scratch_store, "tiles", None)
-    if tiles is None:
-        tiles = _scratch_store.tiles = {}
-    key = np.dtype(dtype).str
-    vec = tiles.get(key)
-    if vec is None or vec.size < elems:
-        vec = tiles[key] = np.empty(elems, dtype=dtype)
-    return vec
-
-
-def _matmul_tile(matrix: np.ndarray, tile: np.ndarray, scratch: np.ndarray) -> None:
-    """Apply ``matrix`` to one ``(rows, 2, cols)`` tile, in place.
-
-    The batched matmul lands in the cache-resident ``scratch`` and is
-    copied straight back while the tile is still hot - the buffer never
-    needs a full-size second copy.
-    """
-    out = scratch[: tile.size].reshape(tile.shape)
-    np.matmul(matrix, tile, out=out)
-    tile[...] = out
-
-
-def _pair_update(lo: np.ndarray, hi: np.ndarray, coeffs: tuple) -> None:
-    """One tile of the 2x2 pair recurrence, in place via shared scratch.
-
-    The operation order is fixed (and identical across tilings): the
-    update is element-wise, so splitting it over tiles cannot change a
-    single floating-point result.
-    """
-    m00, m01, m10, m11 = coeffs
-    s0, s1 = _pair_scratch(lo.dtype, lo.size)
-    t0 = s0[: lo.size].reshape(lo.shape)
-    t1 = s1[: lo.size].reshape(lo.shape)
-    np.multiply(lo, m00, out=t0)
-    np.multiply(hi, m01, out=t1)
-    t0 += t1
-    np.multiply(lo, m10, out=t1)
-    np.multiply(hi, m11, out=hi)
-    hi += t1
-    lo[...] = t0
-
-
-def apply_pair(low: np.ndarray, high: np.ndarray, matrix: np.ndarray) -> None:
-    """Update an amplitude-pair of chunks with a 2x2 unitary, in place.
-
-    ``low``/``high`` hold the amplitudes whose pairing index bit is 0/1;
-    the arrays are updated element-wise (Equation 8 of the paper with the
-    pair stride equal to a whole chunk), tiled through one thread-local
-    scratch pair so peak allocation stays at two cache-sized tiles instead
-    of two full-chunk temporaries per call.
-    """
-    if matrix.shape != (2, 2):
-        raise SimulationError(f"pair kernel needs a 2x2 matrix, got {matrix.shape}")
-    matrix = np.asarray(matrix, dtype=low.dtype)
-    coeffs = (matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1])
-    if low.ndim != 1:
-        # Rare shape-agnostic call: one whole-array tile (scratch grows).
-        _pair_update(low, high, coeffs)
-        return
-    for start in range(0, low.size, _SCRATCH_AMPS):
-        end = min(start + _SCRATCH_AMPS, low.size)
-        _pair_update(low[start:end], high[start:end], coeffs)
-
-
-def apply_single_qubit_inplace(
+def subcube_view(
     buffer: np.ndarray,
-    matrix: np.ndarray,
-    qubit: int,
+    fixed_mask: int,
+    fixed_value: int,
+    qubits: tuple[int, ...],
+    tile_mask: int = 0,
+    inner_bits: int = 0,
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """View of the amplitudes whose index agrees with the fixed bits.
+
+    The index bits of ``buffer`` (``2^n`` amplitudes, bit 0 least
+    significant) are cut into maximal runs of one role - fixed, tile,
+    free, or a single gate qubit - and the buffer reshaped to one axis per
+    run, most significant first.  Fixed runs are indexed at their value,
+    so the result is a basic-slicing view of exactly the live amplitudes.
+
+    Args:
+        buffer: Contiguous amplitude vector.
+        fixed_mask: Index bits held constant.
+        fixed_value: Their values.
+        qubits: Bits that each get an axis of length 2.
+        tile_mask: Free bits kept on axes of their own, so that indexing
+            those axes enumerates disjoint tiles of the view.
+        inner_bits: A run never straddles this bit, so the last axis
+            covers exactly the low ``inner_bits`` bits when those are free.
+
+    The three masks must be disjoint.
+
+    Returns:
+        ``(view, axes, tile_axes)``: ``axes[i]`` is the view axis of
+        ``qubits[i]``, ``tile_axes`` the axes of the tile runs in order.
+    """
+    split = qubit_mask(qubits)
+    shape: list[int] = []
+    index: list[int | slice] = []
+    axis_of: dict[int, int] = {}
+    tile_axes: list[int] = []
+    axis = 0
+    bit = int(buffer.size).bit_length() - 1
+    while bit:
+        top = low = bit - 1
+        if split >> top & 1:
+            axis_of[top] = axis
+        else:
+            role = (fixed_mask >> top & 1, tile_mask >> top & 1)
+            while (
+                low
+                and low != inner_bits
+                and not split >> (low - 1) & 1
+                and (fixed_mask >> (low - 1) & 1, tile_mask >> (low - 1) & 1) == role
+            ):
+                low -= 1
+            if role[1]:
+                tile_axes.append(axis)
+        shape.append(1 << (bit - low))
+        if fixed_mask >> top & 1:
+            index.append(fixed_value >> low & ((1 << (bit - low)) - 1))
+        else:
+            index.append(slice(None))
+            axis += 1
+        bit = low
+    view = buffer.reshape(shape)[tuple(index)]
+    return view, [axis_of[q] for q in qubits], tile_axes
+
+
+def _diagonal_update(tiled: np.ndarray, lead: int, op, axes: list[int], inner_bits: int):
+    """Per-tile update of a diagonal op: one broadcast in-place multiply.
+
+    The multiplier has one axis per op qubit at or above ``inner_bits``
+    (``axes``, descending qubit order) and, unless ``inner_bits`` is 0,
+    the last axis over the low ``inner_bits`` index bits: the per-chunk
+    factors of :func:`chunk_diagonal_factor` stacked over every pattern of
+    the outer qubits.
+    """
+    outer = sorted((q for q in op.qubits if q >= inner_bits), reverse=True)
+    rows = []
+    for pattern in range(1 << len(outer)):
+        chunk_index = 0
+        for position, q in enumerate(reversed(outer)):
+            chunk_index |= (pattern >> position & 1) << (q - inner_bits)
+        rows.append(np.atleast_1d(chunk_diagonal_factor(op, inner_bits, chunk_index)))
+    shape = [1] * (tiled.ndim - lead)
+    for axis in axes:
+        shape[axis - lead] = 2
+    if inner_bits:
+        shape[-1] = len(rows[0])
+    factor = np.array(rows, dtype=tiled.dtype).reshape(shape)
+
+    def update(tile: np.ndarray) -> None:
+        tile *= factor
+
+    return tiled, update
+
+
+def _matrix_update(tiled: np.ndarray, lead: int, matrix: np.ndarray, axes: list[int]):
+    """Per-tile update applying a ``2^k x 2^k`` unitary to ``axes``.
+
+    Everything that does not depend on the tile - the dtype cast, the
+    float view for real matrices, moving the target axes - is done once
+    on ``tiled``, whose first ``lead`` axes enumerate the tiles.
+    """
+    matrix = np.asarray(matrix, dtype=tiled.dtype)
+    if (
+        len(axes) == 1
+        and axes[0] < tiled.ndim - 1
+        and tiled.strides[-1] == tiled.itemsize
+    ):
+        operand, factor = tiled, matrix
+        if not matrix.imag.any():
+            # A real matrix scales the re/im parts of an amplitude
+            # independently, so the same update runs as a real matmul
+            # over the float view: half the arithmetic, same traffic.
+            float_dtype = np.float32 if tiled.dtype == np.complex64 else np.float64
+            operand = tiled.view(float_dtype)
+            factor = np.ascontiguousarray(matrix.real, dtype=float_dtype)
+        if operand.shape[-1] >= _MATMUL_MIN_COLS:
+
+            def batched(tile: np.ndarray) -> None:
+                out = _scratch(tile.dtype, tile.size, 0).reshape(tile.shape)
+                np.matmul(factor, tile, out=out)
+                tile[...] = out
+
+            return np.moveaxis(operand, axes[0], -2), batched
+
+    # Target axes to the front of every tile, most significant first, so
+    # that folding them yields the matrix's basis ordering (qubits[0] =
+    # LSB); then gather, one GEMM, scatter.
+    k = len(axes)
+
+    def gathered(tile: np.ndarray) -> None:
+        operand = _scratch(tile.dtype, tile.size, 0).reshape(tile.shape)
+        np.copyto(operand, tile)
+        out = _scratch(tile.dtype, tile.size, 1).reshape(1 << k, -1)
+        np.matmul(matrix, operand.reshape(1 << k, -1), out=out)
+        tile[...] = out.reshape(tile.shape)
+
+    return np.moveaxis(tiled, axes[::-1], range(lead, lead + k)), gathered
+
+
+def _dense_update(tiled: np.ndarray, lead: int, op, axes: list[int]):
+    """Per-tile update of a non-diagonal op: controls indexed at 1, then
+    the matmul on what is left."""
+    controls = {"cx": 1, "cy": 1, "ccx": 2}.get(op.name, 0)
+    if not controls:
+        return _matrix_update(tiled, lead, op.matrix(), axes)
+    selector: list[int | slice] = [slice(None)] * tiled.ndim
+    for axis in axes[:controls]:
+        selector[axis] = 1
+    target = axes[controls] - sum(axis < axes[controls] for axis in axes[:controls])
+    # The target's 2x2 block: rows/columns whose control bits (the low
+    # matrix-index bits) are all 1.
+    ones = (1 << controls) - 1
+    block = op.matrix()[ones :: ones + 1, ones :: ones + 1]
+    return _matrix_update(tiled[tuple(selector)], lead, block, [target])
+
+
+def sweep(
+    buffer: np.ndarray,
+    op,
+    fixed_mask: int = 0,
+    fixed_value: int = 0,
+    inner_bits: int | None = None,
     part: int = 0,
     parts: int = 1,
 ) -> None:
-    """Tiled in-place pair update of a contiguous buffer (no second buffer).
-
-    The in-place sibling of :func:`apply_single_qubit_fused`: the buffer
-    is viewed as ``(above, 2, below)`` with ``qubit`` on the middle axis
-    and each L2-sized tile runs one batched matmul into the shared
-    scratch, copied straight back while the tile is hot — no output
-    buffer, no swap, no gather, and no write-allocate traffic on a
-    second full-size destination (measured ~1.4x over the double-buffer
-    sweep at 2^22 amplitudes).  Real gate matrices additionally run on
-    the float view of the buffer, halving the matmul arithmetic.
+    """Apply ``op`` to the amplitudes of ``buffer`` matching the fixed bits.
 
     Args:
-        buffer: Contiguous amplitude buffer, updated in place.
-        matrix: The 2x2 gate unitary.
-        qubit: Target qubit index relative to ``buffer`` (``buffer.size``
-            must cover ``2^(qubit+1)`` amplitudes).
-        part: This worker's slab index in ``[0, parts)``.
-        parts: Number of disjoint contiguous slabs the work is split
-            into; the union over all parts covers the buffer exactly.
+        buffer: Contiguous vector of ``2^n`` amplitudes, updated in place.
+        op: A :class:`Gate` or :class:`~repro.statevector.fusion.GateSlab`
+            on qubits ``< n``.
+        fixed_mask: Amplitude-index bits held constant (the pruning
+            descriptor shifted up by ``chunk_bits``).  Bits at the op's own
+            qubits are ignored: a gate updates both values of its qubits.
+        fixed_value: Their values.
+        inner_bits: Low index bits a diagonal multiplier is materialised
+            over (the chunk size of the caller; default: the whole buffer).
+        part: This worker's share in ``[0, parts)``.
+        parts: Number of disjoint contiguous shares the tiles are dealt
+            into; together they cover the live amplitudes exactly.
     """
-    if matrix.shape != (2, 2):
-        raise SimulationError(f"pair kernel needs a 2x2 matrix, got {matrix.shape}")
-    if buffer.size < (1 << (qubit + 1)):
-        raise SimulationError(
-            f"buffer of {buffer.size} amps cannot host qubit {qubit}"
-        )
-    below = 1 << qubit
-    above = buffer.size >> (qubit + 1)
-    matrix = np.asarray(matrix, dtype=buffer.dtype)
-    if buffer.dtype.kind == "c" and not matrix.imag.any():
-        # Real gate matrix (h, x, the recipe's dominant single-qubit
-        # sweeps): a real coefficient scales the re/im components of a
-        # complex amplitude independently, so the identical sweep runs as
-        # a *real* matmul over the float view - half the arithmetic for
-        # the same memory traffic, and any tile or part boundary on the
-        # float axis stays correct because every float component
-        # transforms independently.
-        float_dtype = np.float32 if buffer.dtype == np.complex64 else np.float64
-        matrix = np.ascontiguousarray(matrix.real, dtype=float_dtype)
-        buffer = buffer.view(float_dtype)
-        below *= 2
-    view = buffer.reshape(above, 2, below)
-    # The column-split path keeps whole rows per tile, so the scratch must
-    # cover one full row pair even when the budget is tiny.
-    scratch = _tile_scratch(buffer.dtype, max(2 * _SCRATCH_AMPS, 2 * above))
-    if above >= parts:
-        start = part * above // parts
-        stop = (part + 1) * above // parts
-        if below <= _SCRATCH_AMPS:
-            step = max(1, _SCRATCH_AMPS // below)
-            for row in range(start, stop, step):
-                end = min(row + step, stop)
-                _matmul_tile(matrix, view[row:end], scratch)
-        else:
-            # A single batch row overflows the scratch budget (low `above`,
-            # huge `below`): tile along the column axis within each row.
-            for row in range(start, stop):
-                for col in range(0, below, _SCRATCH_AMPS):
-                    end = min(col + _SCRATCH_AMPS, below)
-                    _matmul_tile(matrix, view[row : row + 1, :, col:end], scratch)
-        return
-    # Too few batch rows (qubit near the top): split the column axis instead.
-    start = part * below // parts
-    stop = (part + 1) * below // parts
-    step = max(1, _SCRATCH_AMPS // max(1, 2 * above))
-    for col in range(start, stop, step):
-        end = min(col + step, stop)
-        _matmul_tile(matrix, view[:, :, col:end], scratch)
+    num_bits = int(buffer.size).bit_length() - 1
+    if inner_bits is None:
+        inner_bits = num_bits
+    gate_mask = qubit_mask(op.qubits)
+    fixed_mask &= ~gate_mask
+    fixed_value &= fixed_mask
+    free = ~(fixed_mask | gate_mask) & ((1 << num_bits) - 1)
 
+    # Tiles enumerate the most significant free bits.  A diagonal multiply
+    # is a pure stream and is cut only as far as the workers need; a dense
+    # op is also cut down to cache-sized tiles.
+    cuts = (parts - 1).bit_length() + (2 if parts & (parts - 1) else 0)
+    if not op.is_diagonal:
+        live_bits = num_bits - fixed_mask.bit_count()
+        cuts = max(cuts, live_bits - _TILE_AMPS.bit_length() + 1)
+    tile_mask = 0
+    for _ in range(min(cuts, free.bit_count())):
+        tile_mask |= 1 << ((free & ~tile_mask).bit_length() - 1)
 
-def apply_single_qubit_fused(
-    source: np.ndarray,
-    dest: np.ndarray,
-    matrix: np.ndarray,
-    qubit: int,
-    part: int = 0,
-    parts: int = 1,
-) -> None:
-    """Batched pair update of a whole state vector, written to ``dest``.
-
-    Viewing the ``2^n`` backing buffer as ``(above, 2, below)`` with the
-    target ``qubit`` on the middle axis turns every amplitude pair of the
-    gate into one column of a batched matmul - a single BLAS-backed call
-    replaces the per-group gather/compute/scatter loop.  ``dest`` must be
-    a distinct buffer of the same size; the caller swaps the two
-    afterwards instead of copying back.
-
-    Args:
-        source: Contiguous amplitude buffer (read).
-        dest: Contiguous output buffer of identical size (written).
-        matrix: The 2x2 gate unitary.
-        qubit: Global target qubit index.
-        part: This worker's slab index in ``[0, parts)``.
-        parts: Number of slabs the batch axis is split into; slab
-            boundaries are chosen so every worker owns a contiguous,
-            disjoint range and the union covers the whole state.
-    """
-    below = 1 << qubit
-    above = source.size >> (qubit + 1)
-    matrix = np.asarray(matrix, dtype=source.dtype)
-    if source.dtype.kind == "c" and not matrix.imag.any():
-        # Real gate matrix (h, x, the paper's dominant single-qubit
-        # sweeps): a real coefficient scales the re/im components of a
-        # complex amplitude independently, so the identical sweep runs as
-        # a *real* matmul over the float view - half the arithmetic of a
-        # complex matmul for the same memory traffic, and any tile or
-        # part boundary on the float axis stays correct because every
-        # float component transforms independently.
-        float_dtype = np.float32 if source.dtype == np.complex64 else np.float64
-        matrix = np.ascontiguousarray(matrix.real, dtype=float_dtype)
-        source = source.view(float_dtype)
-        dest = dest.view(float_dtype)
-        below *= 2
-    src = source.reshape(above, 2, below)
-    dst = dest.reshape(above, 2, below)
-    if parts == 1:
-        # Single worker: the sweep is a pure stream through both buffers,
-        # so one whole-array matmul beats any tiling (no reuse to keep
-        # cache-resident, and BLAS picks better internal blocking than a
-        # fixed tile step).
-        np.matmul(matrix, src, out=dst)
-        return
-    if above >= parts:
-        start = part * above // parts
-        stop = (part + 1) * above // parts
-        row_amps = 2 * below
-        if row_amps <= _TILE_AMPS:
-            step = max(1, _TILE_AMPS // row_amps)
-            for row in range(start, stop, step):
-                end = min(row + step, stop)
-                np.matmul(matrix, src[row:end], out=dst[row:end])
-        else:
-            # A single batch row overflows the tile budget (low `above`,
-            # huge `below`): tile along the column axis within each row.
-            col_step = _TILE_AMPS // 2
-            for row in range(start, stop):
-                for col in range(0, below, col_step):
-                    end = min(col + col_step, below)
-                    np.matmul(
-                        matrix,
-                        src[row : row + 1, :, col:end],
-                        out=dst[row : row + 1, :, col:end],
-                    )
-        return
-    # Too few batch rows (qubit near the top): split the column axis instead.
-    start = part * below // parts
-    stop = (part + 1) * below // parts
-    step = max(1, _TILE_AMPS // (2 * above))
-    for col in range(start, stop, step):
-        end = min(col + step, stop)
-        np.matmul(matrix, src[:, :, col:end], out=dst[:, :, col:end])
+    if op.is_diagonal:
+        cut = fixed_mask | tile_mask
+        inner_bits = min(inner_bits, (cut & -cut).bit_length() - 1 if cut else num_bits)
+        split = tuple(sorted((q for q in op.qubits if q >= inner_bits), reverse=True))
+    else:
+        split, inner_bits = op.qubits, 0
+    view, axes, tile_axes = subcube_view(
+        buffer, fixed_mask, fixed_value, split, tile_mask, inner_bits
+    )
+    lead = len(tile_axes)
+    tiled = np.moveaxis(view, tile_axes, range(lead))
+    axes = [lead + axis - sum(t < axis for t in tile_axes) for axis in axes]
+    if op.is_diagonal:
+        tiled, update = _diagonal_update(tiled, lead, op, axes, inner_bits)
+    else:
+        tiled, update = _dense_update(tiled, lead, op, axes)
+    tiles = 1 << tile_mask.bit_count()
+    for index in islice(
+        np.ndindex(tiled.shape[:lead]), part * tiles // parts, (part + 1) * tiles // parts
+    ):
+        update(tiled[index])
 
 
 def chunk_diagonal_factor(

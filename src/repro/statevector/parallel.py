@@ -1,92 +1,42 @@
-"""Parallel chunk execution: a persistent worker pool over chunk groups.
+"""Worker threads for the live-subcube sweep.
 
-Every gate's chunk groups (see
-:func:`~repro.statevector.chunks.chunk_pair_groups`) are independent - they
-touch disjoint chunks - so they can execute concurrently.  This module
-provides the engine that does so with *threads*: the hot kernels (BLAS
-matmuls in :func:`~repro.statevector.apply.apply_matrix`, large-array
-ufuncs in the zero-copy kernels) all release the GIL, so chunk workers
-genuinely overlap on multicore hosts.
+A sweep (:func:`repro.statevector.kernels.sweep`) deals its tiles into
+``parts`` disjoint contiguous shares, so the parallel engine is small:
+above one live-amplitude floor it runs the same kernel once per worker,
+each on its own share, on a persistent thread pool; below the floor it
+runs the kernel inline.  numpy releases the GIL inside the matmuls and
+ufunc loops, so the shares do run concurrently - but the sweeps are
+memory-bandwidth-bound, and on the 2-vCPU reference host two threads
+measured 0.8-1.15x of one, with every handoff costing 0.15-0.3 ms of
+thread wake-up (``docs/performance.md``).  ``workers`` is kept because it
+is small and correct, not because it is a speed-up there; the floor is
+set where it stops being a slow-down.
 
-Ownership mirrors the multi-GPU discipline of
-:mod:`repro.core.multigpu`: group ``i`` of a gate belongs to worker
-``i % workers``, exactly the paper's Fig. 18 round-robin (worker = GPU).
-The functional and timed engines therefore share one partitioning story -
-:func:`worker_assignment` returns the very
-:class:`~repro.core.multigpu.GroupAssignment` the timed model schedules.
-
-The only deliberate deviation: when *every* group of a single-qubit gate
-is live, the per-group pair updates fuse into one tiled in-place sweep
-(:func:`~repro.statevector.kernels.apply_single_qubit_inplace`) split
-into one contiguous slab per worker - the same disjoint coverage,
-coalesced for memory bandwidth with no second full-size buffer.
-
-Numerics: with ``workers == 1`` the serial engine runs the exact
-baseline arithmetic (bit-identical results, so determinism mode and
-checkpoint resume are untouched).  With ``workers > 1`` the zero-copy
-kernels reorder floating-point operations; results agree with the serial
-engine to machine precision (``atol <= 1e-12``) but not bit-for-bit.
+Numerics: every share applies the identical per-amplitude arithmetic of
+the serial sweep, so ``workers > 1`` is specified to agree with
+``workers == 1`` to machine precision (``atol <= 1e-12``).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.circuits.gates import Gate
 from repro.errors import SimulationError
-from repro.statevector.apply import apply_gate
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.statevector.fusion import GateSlab
-from repro.statevector.kernels import (
-    apply_diagonal_chunk,
-    apply_pair,
-    apply_single_qubit_inplace,
-    chunk_diagonal_factor,
-    count_kernel,
-    kernel_work,
-)
+from repro.statevector.kernels import sweep
+from repro.statevector.subcube import qubit_mask
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from repro.statevector.chunks import ChunkedStateVector
-
-#: Below this many amplitudes ``workers="auto"`` stays serial: the state is
-#: too small for threading to beat the bit-exact baseline path.
-AUTO_PARALLEL_THRESHOLD = 1 << 18
+#: Below this many amplitudes threads cannot pay for their handoff:
+#: ``workers="auto"`` keeps a state this small serial, and a pool runs any
+#: sweep with fewer live amplitudes inline on the calling thread.
+AUTO_PARALLEL_THRESHOLD = 1 << 23
 
 #: Ceiling on auto-selected workers; explicit ``workers=`` may exceed it.
 MAX_AUTO_WORKERS = 4
-
-#: Adaptive work-size floors (touched amplitudes x fused gate count): a
-#: dispatch moving less work than this runs the serial kernels inline on
-#: the coordinator thread instead of fanning out.  Diagonal sweeps are a
-#: single element-wise multiply - almost pure memory traffic - so they
-#: need far more work than the dense kernels before threads pay off (the
-#: kernel bench showed serial ``diagonal_rz`` beating parallel up to
-#: multi-million-amplitude states).
-SERIAL_INLINE_DIAGONAL_WORK = 1 << 23
-
-#: Dense-kernel inline floor; see :data:`SERIAL_INLINE_DIAGONAL_WORK`.
-SERIAL_INLINE_DENSE_WORK = 1 << 19
-
-
-def inline_serial_work(gate, groups, chunk_bits: int) -> bool:
-    """True when ``gate`` over ``groups`` is too small to parallelize.
-
-    The work estimate is ``touched amplitudes x fused gates`` (a slab
-    amortizes its sweep over every member), compared against the per-kind
-    floor above.  The inline path runs the *identical* serial kernels, so
-    below-floor dispatches match the serial engine bit for bit.
-    """
-    touched = sum(len(members) for members in groups) << chunk_bits
-    fused = len(gate.gates) if isinstance(gate, GateSlab) else 1
-    floor = (
-        SERIAL_INLINE_DIAGONAL_WORK if gate.is_diagonal else SERIAL_INLINE_DENSE_WORK
-    )
-    return touched * fused < floor
 
 
 def resolve_workers(workers: int | str | None, num_amplitudes: int | None = None) -> int:
@@ -109,19 +59,6 @@ def resolve_workers(workers: int | str | None, num_amplitudes: int | None = None
     if workers < 1:
         raise SimulationError(f"workers must be a positive int or 'auto', got {workers}")
     return workers
-
-
-def worker_assignment(num_qubits: int, chunk_bits: int, gate: Gate, workers: int):
-    """The multi-GPU round-robin assignment with workers standing in for GPUs.
-
-    Returns :class:`~repro.core.multigpu.GroupAssignment` - the functional
-    engine's ownership is definitionally the timed engine's partitioning.
-    """
-    # Imported lazily: repro.core's package __init__ imports the simulator,
-    # which imports this package - a module-level import would cycle.
-    from repro.core.multigpu import assign_round_robin
-
-    return assign_round_robin(num_qubits, chunk_bits, gate, workers)
 
 
 class ChunkWorkerPool:
@@ -163,17 +100,16 @@ class ChunkWorkerPool:
 
 
 class ParallelChunkEngine:
-    """Executes chunk groups of each gate concurrently with zero-copy kernels.
+    """Splits each sweep into one contiguous share per worker thread.
 
     Args:
-        workers: Worker threads (``>= 2``; use the serial path in
-            :class:`~repro.statevector.chunks.ChunkedStateVector` for 1).
+        workers: Worker threads (``>= 2``; ``workers=1`` callers sweep
+            directly and need no engine).
         tracer: Optional :class:`~repro.obs.Tracer`.  When tracing is
-            enabled each worker's share of a gate becomes a
-            ``chunk_group`` span on that worker thread's lane, parented to
-            the coordinator's open gate span; counters (``pool.tasks``,
-            ``kernels.*``) are kept whenever a real tracer is supplied,
-            even with spans disabled.
+            enabled each worker's share becomes a ``sweep_share`` span on
+            that worker thread's lane, parented to the coordinator's open
+            gate span; ``pool.tasks`` is counted whenever a real tracer is
+            supplied, even with spans disabled.
 
     The engine owns one persistent resource: the thread pool.  Close
     the engine (or use it as a context manager) when done; a closed
@@ -188,13 +124,6 @@ class ParallelChunkEngine:
                 f"ParallelChunkEngine needs workers >= 2, got {self.workers}"
             )
         self._pool = ChunkWorkerPool(self.workers)
-        # The fused whole-state kernel is pure memory-bandwidth work: more
-        # slabs than physical cores only adds handoff overhead, so its
-        # fan-out is capped at the host's parallelism even when the group
-        # round-robin uses the full worker count.
-        self._fused_parts = max(1, min(self.workers, os.cpu_count() or 1))
-
-    # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
         """Shut the worker pool down."""
@@ -206,201 +135,38 @@ class ParallelChunkEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- application ---------------------------------------------------------
-
-    def apply_groups(
+    def sweep(
         self,
-        state: "ChunkedStateVector",
-        gate: Gate,
-        groups: Sequence[tuple[int, ...]],
+        buffer: np.ndarray,
+        op,
+        fixed_mask: int = 0,
+        fixed_value: int = 0,
+        inner_bits: int | None = None,
     ) -> None:
-        """Apply ``gate`` to the listed chunk groups of ``state``.
+        """:func:`~repro.statevector.kernels.sweep`, one share per worker.
 
-        Dispatch, in order of preference:
-
-        * below the adaptive work floor (:func:`inline_serial_work`) - the
-          serial kernels run inline on the coordinator (bit-identical to
-          ``workers=1``; fan-out would cost more than the arithmetic);
-        * diagonal gate (or slab) - per-chunk in-place multiply (no
-          pairing at all), member chunks round-robin across workers;
-        * single-qubit gate or slab fully inside the chunk - when every
-          group is live, one tiled in-place sweep over the whole backing
-          (L2-sized matmul tiles through the shared scratch), one slab
-          per worker; the per-chunk tiled in-place kernel round-robin
-          otherwise;
-        * other gates fully inside the chunk - per-chunk dense kernel,
-          round-robin;
-        * single-qubit gate with every group live - the same tiled
-          in-place sweep, one contiguous slab per worker;
-        * single-qubit cross-chunk gate (some groups pruned) - the 2x2
-          amplitude-pair kernel per group, round-robin;
-        * multi-qubit cross-chunk gate - gather/scatter per group (the
-          baseline arithmetic), round-robin.  Rare: it needs two or more
-          gate qubits at or above ``chunk_bits``.
-
-        Fusion slabs (:class:`~repro.statevector.fusion.GateSlab`) flow
-        through the same branches by duck-typing :class:`Gate`.
+        Sweeps with fewer than :data:`AUTO_PARALLEL_THRESHOLD` live
+        amplitudes run inline on the calling thread.
         """
-        if not groups:
+        live_amps = buffer.size >> (fixed_mask & ~qubit_mask(op.qubits)).bit_count()
+        if live_amps < AUTO_PARALLEL_THRESHOLD:
+            sweep(buffer, op, fixed_mask, fixed_value, inner_bits)
             return
-        chunk_bits = state.chunk_bits
-        if inline_serial_work(gate, groups, chunk_bits):
-            state.apply_groups(gate, groups, None)
-            return
-        outside = [q for q in gate.qubits if q >= chunk_bits]
-        itemsize = np.dtype(state.dtype).itemsize
-        if gate.is_diagonal:
-            member_count = sum(len(g) for g in groups)
-            count_kernel("diagonal", member_count)
-            with kernel_work("diagonal", member_count << chunk_bits, itemsize):
-                self._apply_diagonal(state, gate, groups)
-        elif not outside:
-            if gate.num_qubits == 1:
-                matrix = gate.matrix()
-                qubit = gate.qubits[0]
-                if len(groups) == state.num_chunks:
-                    count_kernel("inside_fused", self._fused_parts)
-                    amps = state.num_chunks << chunk_bits
-                    with kernel_work("inside_fused", amps, itemsize):
-                        self._apply_fused(state, gate)
-                else:
-                    count_kernel("dense", len(groups))
-                    chunks = state.chunks
-                    with kernel_work("dense", len(groups) << chunk_bits, itemsize):
-                        self._round_robin(
-                            [group[0] for group in groups],
-                            lambda m: apply_single_qubit_inplace(
-                                chunks[m], matrix, qubit
-                            ),
-                        )
-            else:
-                count_kernel("dense", len(groups))
-                members = [group[0] for group in groups]
-                chunks = state.chunks
-                with kernel_work("dense", len(groups) << chunk_bits, itemsize):
-                    self._round_robin(members, lambda m: apply_gate(chunks[m], gate))
-        elif gate.num_qubits == 1:
-            if len(groups) == state.num_chunks // 2:
-                count_kernel("fused", self._fused_parts)
-                amps = state.num_chunks << chunk_bits
-                with kernel_work("fused", amps, itemsize):
-                    self._apply_fused(state, gate)
-            else:
-                count_kernel("pair", len(groups))
-                matrix = gate.matrix()
-                chunks = state.chunks
-                with kernel_work("pair", (2 * len(groups)) << chunk_bits, itemsize):
-                    self._round_robin(
-                        list(groups),
-                        lambda g: apply_pair(chunks[g[0]], chunks[g[1]], matrix),
-                    )
-        else:
-            count_kernel("gather", len(groups))
-            gathered = sum(len(g) for g in groups) << chunk_bits
-            with kernel_work("gather", gathered, itemsize):
-                self._apply_gathered(state, gate, groups, outside)
-
-    # -- kernel drivers ------------------------------------------------------
-
-    def _round_robin(self, items: list, task) -> None:
-        """Run ``task`` over ``items``, item ``i`` owned by worker ``i % workers``.
-
-        The modulo ownership mirrors
-        :func:`~repro.core.multigpu.assign_round_robin` exactly.
-        """
         tracer = self.tracer
+        parts = self.workers
         # Worker spans run on pool threads, so the coordinator's open gate
         # span is captured here and passed explicitly as their parent.
         parent = tracer.current_parent() if tracer.enabled else None
 
-        def worker(index: int, owned: list) -> Callable[[], None]:
+        def share(part: int) -> Callable[[], None]:
             def run() -> None:
-                for item in owned:
-                    task(item)
-
-            if not tracer.enabled:
-                return run
-
-            def traced() -> None:
                 with tracer.span(
-                    "chunk_group",
-                    stage="compute",
-                    parent=parent,
-                    worker=index,
-                    chunks=len(owned),
+                    "sweep_share", stage="compute", parent=parent, worker=part, parts=parts
                 ):
-                    run()
+                    sweep(buffer, op, fixed_mask, fixed_value, inner_bits, part, parts)
 
-            return traced
-
-        slices = [items[w :: self.workers] for w in range(self.workers)]
-        tasks = [worker(w, owned) for w, owned in enumerate(slices) if owned]
-        if tracer is not NULL_TRACER:
-            tracer.counters.count("pool.tasks", len(tasks))
-        self._pool.run_tasks(tasks)
-
-    def _apply_diagonal(self, state, gate: Gate, groups) -> None:
-        members = [member for group in groups for member in group]
-        chunk_bits = state.chunk_bits
-        chunks = state.chunks
-        # Precompute the (at most 2^k) distinct factors serially so worker
-        # threads never race on the cache dict.
-        cache: dict[int, np.ndarray | complex] = {}
-        for member in members:
-            chunk_diagonal_factor(gate, chunk_bits, member, cache)
-        self._round_robin(
-            members,
-            lambda m: apply_diagonal_chunk(chunks[m], gate, chunk_bits, m, cache),
-        )
-
-    def _apply_fused(self, state, gate: Gate) -> None:
-        backing = state.backing
-        matrix = gate.matrix()
-        qubit = gate.qubits[0]
-        parts = self._fused_parts
-        tracer = self.tracer
-        parent = tracer.current_parent() if tracer.enabled else None
-
-        def slab(p: int) -> Callable[[], None]:
-            def run() -> None:
-                apply_single_qubit_inplace(backing, matrix, qubit, part=p, parts=parts)
-
-            if not tracer.enabled:
-                return run
-
-            def traced() -> None:
-                with tracer.span(
-                    "fused_slab", stage="compute", parent=parent, worker=p, parts=parts
-                ):
-                    run()
-
-            return traced
+            return run
 
         if tracer is not NULL_TRACER:
             tracer.counters.count("pool.tasks", parts)
-        if parts == 1:
-            # One slab covers the whole state: run it on the calling
-            # thread instead of paying a pool handoff (a context-switch
-            # round-trip that can dwarf the sweep on small hosts).
-            slab(0)()
-        else:
-            self._pool.run_tasks([slab(part) for part in range(parts)])
-
-    def _apply_gathered(self, state, gate: Gate, groups, outside) -> None:
-        """Baseline gather/compute/scatter per group, parallel across groups."""
-        chunk_bits = state.chunk_bits
-        chunks = state.chunks
-        mapping = {q: q for q in gate.qubits if q < chunk_bits}
-        for rank, q in enumerate(sorted(outside)):
-            mapping[q] = chunk_bits + rank
-        remapped = gate.remapped(mapping)
-        chunk_size = state.chunk_size
-
-        def one_group(members: tuple[int, ...]) -> None:
-            gathered = np.concatenate([chunks[m] for m in members])
-            apply_gate(gathered, remapped)
-            for position, member in enumerate(members):
-                start = position << chunk_bits
-                chunks[member][...] = gathered[start : start + chunk_size]
-
-        self._round_robin(list(groups), one_group)
+        self._pool.run_tasks([share(part) for part in range(parts)])

@@ -41,10 +41,13 @@ def test_serial_trace_round_trips_through_events():
     check_spans(spans)
 
 
-def test_parallel_trace_is_wellformed():
-    # Large enough that dense sweeps clear the engine's inline-serial
-    # work floor and actually land on the worker pool.
-    tracer = _traced_run(3, LogicalClock, qubits=19)
+def test_parallel_trace_is_wellformed(monkeypatch):
+    # Lower the engine's live-amplitude floor so the sweeps of a small
+    # circuit actually land on the worker pool.
+    from repro.statevector import parallel
+
+    monkeypatch.setattr(parallel, "AUTO_PARALLEL_THRESHOLD", 1 << 8)
+    tracer = _traced_run(3, LogicalClock, qubits=14)
     check_spans(tracer.spans)
     lanes = tracer.lanes()
     assert lanes[0] == "main"

@@ -196,12 +196,16 @@ class TestMultiWorkerRoundTrip:
         from repro.circuits.library import get_circuit
         from repro.core.simulator import QGpuSimulator
 
+        from repro.statevector import parallel
+
         tracer = Tracer()
-        # Wide enough that dense sweeps clear the engine's inline-serial
-        # work floor and fan out to the pool threads.
-        QGpuSimulator(workers=4, chunk_bits=10, tracer=tracer).run(
-            get_circuit("qft", 19)
-        )
+        # Lower the engine's live-amplitude floor so the sweeps of a
+        # small circuit fan out to the pool threads.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "AUTO_PARALLEL_THRESHOLD", 1 << 8)
+            QGpuSimulator(workers=4, chunk_bits=10, tracer=tracer).run(
+                get_circuit("qft", 14)
+            )
         return tracer
 
     def test_four_worker_trace_is_multi_lane_and_validates(

@@ -120,6 +120,58 @@ class TestTracedRunWiring:
         assert kernel_rooflines(counters, bandwidth=BOUND) == []
 
 
+    def test_concurrent_runs_book_kernel_work_into_their_own_registry(self):
+        """Two simulators on two threads: each tracer sees its solo counts.
+
+        The kernel counters used to go through a process-global hook that
+        every run installed and restored, so concurrent runs booked each
+        other's work (and left a registry installed behind them).
+        """
+        import threading
+
+        from repro.circuits.library import get_circuit
+        from repro.core.simulator import QGpuSimulator
+        from repro.obs import LogicalClock, Tracer
+        from repro.statevector import kernels
+
+        circuits = [get_circuit("qft", 18), get_circuit("hchain", 16)]
+
+        def kernel_counts(tracer):
+            return {
+                name: value
+                for name, value in tracer.counters.snapshot().items()
+                if name.startswith(("kernels.", "kernel_amps.", "kernel_bytes."))
+            }
+
+        def traced_run(circuit, tracer, barrier=None):
+            if barrier is not None:
+                barrier.wait(timeout=30)
+            QGpuSimulator(workers=1, tracer=tracer).run(circuit)
+
+        solo = []
+        for circuit in circuits:
+            tracer = Tracer(clock=LogicalClock(), enabled=False)
+            traced_run(circuit, tracer)
+            solo.append(kernel_counts(tracer))
+        assert solo[0]["kernels.dense"] != solo[1]["kernels.dense"]
+
+        barrier = threading.Barrier(2)
+        tracers = [Tracer(clock=LogicalClock(), enabled=False) for _ in circuits]
+        threads = [
+            threading.Thread(target=traced_run, args=(circuit, tracer, barrier))
+            for circuit, tracer in zip(circuits, tracers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert [kernel_counts(tracer) for tracer in tracers] == solo
+        # Nothing to leave installed: the module has no registry hook.
+        assert not hasattr(kernels, "set_kernel_counters")
+        assert not hasattr(kernels, "_kernel_counters")
+
+
 class TestModelSide:
     def test_model_points_match_fig15_grid_order(self):
         from repro.analysis.roofline import RooflinePoint

@@ -1,4 +1,4 @@
-"""Tests for the parallel chunk engine, zero-copy kernels, and worker knobs."""
+"""Tests for the worker pool, the parallel sweep engine, and worker knobs."""
 
 from __future__ import annotations
 
@@ -7,25 +7,19 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
-from repro.core.multigpu import assign_round_robin
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import ALL_VERSIONS
 from repro.errors import SimulationError
 from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
-from repro.statevector.kernels import (
-    apply_pair,
-    apply_single_qubit_fused,
-    apply_single_qubit_inplace,
-    chunk_diagonal_factor,
-)
+from repro.statevector.kernels import chunk_diagonal_factor
 from repro.statevector.parallel import (
     AUTO_PARALLEL_THRESHOLD,
     ChunkWorkerPool,
     ParallelChunkEngine,
     resolve_workers,
-    worker_assignment,
 )
 from repro.statevector.state import StateVector
+from repro.statevector.subcube import LiveSubcube
 
 SINGLE_GATES = ("h", "x", "y", "z", "s", "t")
 PARAM_GATES = ("rx", "ry", "rz", "p")
@@ -120,32 +114,6 @@ class TestWorkerPool:
             assert engine.workers == 2
 
 
-class TestOwnershipMirrorsMultiGpu:
-    def test_round_robin_slices_match_assign_round_robin(self):
-        gate = Gate("h", (6,))
-        workers = 3
-        assignment = worker_assignment(8, 4, gate, workers)
-        groups = chunk_pair_groups(8, 4, gate.qubits)
-        assert list(assignment.groups) == groups
-        # Worker w's slice items[w::workers] is exactly the set of groups
-        # assign_round_robin gives owner w.
-        for worker in range(workers):
-            sliced = groups[worker::workers]
-            owned = [
-                group
-                for group, owner in zip(assignment.groups, assignment.owners)
-                if owner == worker
-            ]
-            assert sliced == owned
-
-    def test_worker_assignment_is_the_multigpu_function(self):
-        gate = Gate("cz", (5, 6))
-        ours = worker_assignment(7, 4, gate, 2)
-        theirs = assign_round_robin(7, 4, gate, 2)
-        assert ours.groups == theirs.groups
-        assert ours.owners == theirs.owners
-
-
 class TestSerialParallelAgreement:
     @pytest.mark.parametrize("seed", range(4))
     def test_engine_matches_serial_and_dense(self, seed):
@@ -193,58 +161,23 @@ class TestSerialParallelAgreement:
         parallel = ChunkedStateVector(6, 3).run(circuit, workers=3)
         np.testing.assert_allclose(parallel.to_dense(), serial.to_dense(), atol=1e-12)
 
-    def test_engine_applies_partial_group_lists(self):
-        # A pruned subset of groups must only touch the listed chunks.
-        state = ChunkedStateVector(6, 4)
-        state.chunks[0][:] = 0
-        state.chunks[0][0] = 1.0
+    def test_engine_sweeps_only_the_live_groups(self, monkeypatch):
+        # A pruned subcube must only touch the chunks of its live groups.
+        from repro.statevector import parallel
+
+        monkeypatch.setattr(parallel, "AUTO_PARALLEL_THRESHOLD", 1)
         gate = Gate("h", (5,))
         groups = chunk_pair_groups(6, 4, gate.qubits)
+        reference = ChunkedStateVector(6, 4)
+        reference.apply_groups(gate, groups[:1])
+        state = ChunkedStateVector(6, 4)
+        live = LiveSubcube(2, fixed_mask=0b11, fixed_value=0b00)  # chunk 0 only
         with ParallelChunkEngine(2) as engine:
-            reference = ChunkedStateVector(6, 4)
-            reference.apply_groups(gate, groups[:1])
-            state.apply_groups(gate, groups[:1], engine)
-            np.testing.assert_allclose(
-                state.to_dense(), reference.to_dense(), atol=1e-12
-            )
+            assert state.sweep(gate, live, engine) == (2, 1)
+        np.testing.assert_array_equal(state.to_dense(), reference.to_dense())
 
 
 class TestKernels:
-    def test_apply_pair_matches_dense_single_qubit(self):
-        rng = np.random.default_rng(0)
-        low = rng.normal(size=8) + 1j * rng.normal(size=8)
-        high = rng.normal(size=8) + 1j * rng.normal(size=8)
-        state = np.concatenate([low, high])
-        gate = Gate("h", (3,))
-        expected = state.copy()
-        from repro.statevector.apply import apply_gate
-
-        apply_gate(expected, gate)
-        apply_pair(low, high, gate.matrix())
-        np.testing.assert_allclose(np.concatenate([low, high]), expected, atol=1e-12)
-
-    def test_apply_pair_rejects_non_2x2(self):
-        buffer = np.zeros(4, dtype=np.complex128)
-        with pytest.raises(SimulationError, match="2x2"):
-            apply_pair(buffer, buffer, np.eye(4, dtype=np.complex128))
-
-    @pytest.mark.parametrize("qubit", [0, 3, 7, 9])
-    @pytest.mark.parametrize("parts", [1, 3])
-    def test_fused_single_qubit_matches_dense(self, qubit, parts):
-        rng = np.random.default_rng(qubit)
-        source = (rng.normal(size=1 << 10) + 1j * rng.normal(size=1 << 10)).astype(
-            np.complex128
-        )
-        dest = np.empty_like(source)
-        gate = Gate("h", (qubit,))
-        expected = source.copy()
-        from repro.statevector.apply import apply_gate
-
-        apply_gate(expected, gate)
-        for part in range(parts):
-            apply_single_qubit_fused(source, dest, gate.matrix(), qubit, part, parts)
-        np.testing.assert_allclose(dest, expected, atol=1e-12)
-
     def test_chunk_diagonal_factor_scalar_and_vector(self):
         gate = Gate("cz", (4, 5))
         # Both qubits outside chunk_bits=3: factor is a scalar phase.
@@ -269,152 +202,11 @@ class TestKernels:
         assert len(cache) == 2
 
 
-class TestTiledKernels:
-    """Cache-tiling edges of the fused / in-place single-qubit kernels."""
-
-    def _random(self, size: int, seed: int = 0) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        return (rng.normal(size=size) + 1j * rng.normal(size=size)).astype(
-            np.complex128
-        )
-
-    def _expected(self, source: np.ndarray, qubit: int) -> np.ndarray:
-        from repro.statevector.apply import apply_gate
-
-        expected = source.copy()
-        apply_gate(expected, Gate("h", (qubit,)))
-        return expected
-
-    def test_fused_column_axis_path_matches_dense(self, monkeypatch):
-        # Force row_amps > _TILE_AMPS so the per-row column tiling runs:
-        # with the tile budget at 16 amps, qubit=4 in a 256-amp state has
-        # row_amps = 2 * 16 = 32.  parts=2 keeps the call off the untiled
-        # single-worker shortcut.
-        from repro.statevector import kernels
-
-        monkeypatch.setattr(kernels, "_TILE_AMPS", 16)
-        source = self._random(1 << 8)
-        dest = np.empty_like(source)
-        matrix = Gate("h", (4,)).matrix()
-        for part in range(2):
-            apply_single_qubit_fused(source, dest, matrix, 4, part, 2)
-        np.testing.assert_allclose(dest, self._expected(source, 4), atol=1e-12)
-
-    @pytest.mark.parametrize("qubit,parts", [(7, 3), (6, 5)])
-    def test_fused_above_smaller_than_parts_splits_columns(self, qubit, parts):
-        # above = size >> (qubit+1) < parts: the column-axis split path.
-        source = self._random(1 << 8, seed=qubit)
-        assert (source.size >> (qubit + 1)) < parts
-        dest = np.empty_like(source)
-        matrix = Gate("h", (qubit,)).matrix()
-        for part in range(parts):
-            apply_single_qubit_fused(source, dest, matrix, qubit, part, parts)
-        np.testing.assert_allclose(
-            dest, self._expected(source, qubit), atol=1e-12
-        )
-
-    @pytest.mark.parametrize("qubit", [0, 3, 6, 7])
-    @pytest.mark.parametrize("parts", [1, 2, 3])
-    def test_fused_parts_cover_disjointly(self, qubit, parts):
-        # Each part writes a contiguous region; together the regions
-        # partition the state: every index written by exactly one part.
-        source = self._random(1 << 8, seed=1)
-        matrix = Gate("h", (qubit,)).matrix()
-        written_by = np.zeros(source.size, dtype=int)
-        for part in range(parts):
-            dest = np.full_like(source, np.nan)
-            apply_single_qubit_fused(source, dest, matrix, qubit, part, parts)
-            written_by += ~np.isnan(dest.real)
-        assert (written_by == 1).all()
-
-    @pytest.mark.parametrize("qubit", [0, 2, 4, 7])
-    @pytest.mark.parametrize("parts", [1, 3])
-    def test_inplace_matches_dense(self, qubit, parts):
-        buffer = self._random(1 << 8, seed=qubit)
-        expected = self._expected(buffer, qubit)
-        matrix = Gate("h", (qubit,)).matrix()
-        for part in range(parts):
-            apply_single_qubit_inplace(buffer, matrix, qubit, part, parts)
-        np.testing.assert_allclose(buffer, expected, atol=1e-12)
-
-    def test_inplace_above_smaller_than_parts(self):
-        # size 2^5, qubit 3: above = 2 rows < 3 parts -> column split.
-        buffer = self._random(1 << 5, seed=5)
-        expected = self._expected(buffer, 3)
-        matrix = Gate("h", (3,)).matrix()
-        for part in range(3):
-            apply_single_qubit_inplace(buffer, matrix, 3, part, 3)
-        np.testing.assert_allclose(buffer, expected, atol=1e-12)
-
-    def test_inplace_column_tiling_within_rows(self, monkeypatch):
-        # below > _SCRATCH_AMPS with above >= parts: the per-row column
-        # tiling inside the row-range branch.
-        from repro.statevector import kernels
-
-        monkeypatch.setattr(kernels, "_SCRATCH_AMPS", 8)
-        buffer = self._random(1 << 8, seed=2)
-        expected = self._expected(buffer, 5)  # below = 32 > 8, above = 4
-        apply_single_qubit_inplace(buffer, Gate("h", (5,)).matrix(), 5)
-        np.testing.assert_allclose(buffer, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("qubit,parts", [(2, 2), (6, 3), (7, 3)])
-    def test_inplace_parts_cover_disjointly(self, qubit, parts):
-        # Doubling matrix: an amplitude is exactly doubled iff exactly one
-        # part touched it, so all-doubled proves a disjoint exact cover.
-        buffer = np.ones(1 << 8, dtype=np.complex128)
-        double = 2.0 * np.eye(2, dtype=np.complex128)
-        for part in range(parts):
-            apply_single_qubit_inplace(buffer, double, qubit, part, parts)
-        np.testing.assert_array_equal(buffer, np.full(buffer.size, 2.0 + 0j))
-
-    def test_inplace_rejects_bad_inputs(self):
-        buffer = np.zeros(8, dtype=np.complex128)
-        with pytest.raises(SimulationError, match="2x2"):
-            apply_single_qubit_inplace(buffer, np.eye(4), 0)
-        with pytest.raises(SimulationError, match="cannot host"):
-            apply_single_qubit_inplace(buffer, np.eye(2), 3)
-
-    def test_tiled_apply_pair_is_bit_identical_across_tilings(self, monkeypatch):
-        # The pair recurrence is element-wise with a fixed operation
-        # order, so the tile size cannot change a single bit.
-        from repro.statevector import kernels
-
-        gate = Gate("rx", (0,), (0.8,))
-        low = self._random(1 << 6, seed=3)
-        high = self._random(1 << 6, seed=4)
-        ref_low, ref_high = low.copy(), high.copy()
-        apply_pair(ref_low, ref_high, gate.matrix())
-        monkeypatch.setattr(kernels, "_SCRATCH_AMPS", 8)
-        apply_pair(low, high, gate.matrix())
-        np.testing.assert_array_equal(
-            low.view(np.uint64), ref_low.view(np.uint64)
-        )
-        np.testing.assert_array_equal(
-            high.view(np.uint64), ref_high.view(np.uint64)
-        )
-
-
 class TestBackingStorage:
     def test_chunks_are_views_into_backing(self):
         state = ChunkedStateVector(5, 3)
         state.chunks[1][0] = 0.5
         assert state.backing[1 << 3] == 0.5
-
-    def test_swap_backing_rejects_mismatched_buffer(self):
-        state = ChunkedStateVector(5, 3)
-        with pytest.raises(SimulationError, match="layout"):
-            state.swap_backing(np.zeros(7, dtype=np.complex128))
-        with pytest.raises(SimulationError, match="layout"):
-            state.swap_backing(np.zeros(1 << 5, dtype=np.complex64))
-
-    def test_swap_backing_returns_old_and_rebinds_views(self):
-        state = ChunkedStateVector(5, 3)
-        fresh = np.arange(1 << 5, dtype=np.complex128)
-        old = state.swap_backing(fresh)
-        assert old[0] == 1.0
-        assert state.chunks[0][1] == 1.0  # view of the new buffer
-        state.chunks[2][0] = -9.0
-        assert state.backing[2 << 3] == -9.0
 
 
 class TestSimulatorWorkersKnob:
