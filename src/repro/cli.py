@@ -64,7 +64,6 @@ from repro.core.versions import ALL_VERSIONS, VERSIONS_BY_NAME
 from repro.errors import ReproError
 from repro.hardware.specs import MACHINES
 from repro.obs.log import configure_logging, get_logger
-from repro.statevector.measure import sample_counts
 
 _logger = get_logger("cli")
 
@@ -180,8 +179,6 @@ def _write_observability(tracer, args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    import numpy as np
-
     circuit = _load_circuit(args)
     version = VERSIONS_BY_NAME[args.version]
     tracer = _build_tracer(args)
@@ -214,15 +211,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                                    or report.checkpoints_written
                                    or report.resumed_from_gate is not None):
             print(report.summary())
-        amplitudes = result.amplitudes
-        if amplitudes.dtype != np.complex128:
-            # The sampler checks normalisation at double precision; bring
-            # the single-precision state back onto the unit sphere first.
-            amplitudes = amplitudes.astype(np.complex128)
-            amplitudes /= np.linalg.norm(amplitudes)
-        counts = sample_counts(amplitudes, shots=args.shots, seed=args.seed)
-    else:
-        counts = result.state.sample_counts(args.shots, seed=args.seed)
+    counts = result.sample_counts(args.shots, seed=args.seed)
     width = circuit.num_qubits
     for outcome, count in sorted(counts.items(), key=lambda kv: -kv[1])[: args.top]:
         print(f"  |{outcome:0{width}b}>  {count}")

@@ -61,6 +61,7 @@ from repro.statevector.chunks import (
 )
 from repro.statevector.fusion import slab_members
 from repro.statevector.kernels import sweep
+from repro.statevector.measure import sample_counts
 from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
 from repro.statevector.subcube import LiveSubcube, outside_mask
 
@@ -73,7 +74,8 @@ class FunctionalResult:
         state: Final state - a :class:`ChunkedStateVector` for dense runs,
             or a :class:`~repro.planner.engines.BackendExecution` when the
             planner routed the circuit to another engine (both expose
-            ``to_dense()`` where representable).
+            ``to_dense()``, a fresh writable copy, where representable;
+            :attr:`amplitudes` is the read-only zero-copy view).
         circuit_name: Name of the executed circuit.
         version: Version name used.
         chunk_updates_total: Chunk-group updates the unoptimized engine
@@ -111,7 +113,30 @@ class FunctionalResult:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        return self.state.to_dense()
+        """The final ``2^n`` amplitudes.
+
+        For dense results a read-only view of ``state.backing`` (no copy;
+        ``state.to_dense()`` is the writable copy); other backends
+        densify through their ``to_dense()``.
+        """
+        if self.backend != "statevector":
+            return self.state.to_dense()
+        view = self.state.backing.view()
+        view.flags.writeable = False
+        return view
+
+    def sample_counts(self, shots: int, seed: int = 0) -> dict[int, int]:
+        """Sample ``shots`` end-of-circuit measurements; index -> count."""
+        if self.backend != "statevector":
+            return self.state.sample_counts(shots, seed=seed)
+        amplitudes = self.amplitudes
+        if amplitudes.dtype != np.complex128:
+            # The sampler checks normalisation at double precision (1e-6);
+            # bring the widened single-precision state back onto the unit
+            # sphere first.  The double path is left byte-for-byte untouched.
+            amplitudes = amplitudes.astype(np.complex128)
+            amplitudes /= np.linalg.norm(amplitudes)
+        return sample_counts(amplitudes, shots=shots, seed=seed)
 
     @property
     def pruned_fraction(self) -> float:
@@ -271,9 +296,11 @@ class QGpuSimulator:
                 circuit up to the stored cursor is replayed through the
                 pruning trackers but not re-applied, so the continued run
                 is bit-identical to an uninterrupted one.
-            stop_after: Halt after this many gates have been applied
+            stop_after: Halt once this many gates have been applied
                 (simulates a crash for checkpoint testing; the result's
-                ``interrupted_at`` records the cursor).
+                ``interrupted_at`` records the cursor).  ``0`` applies
+                nothing; a value ``>= len(circuit)`` is a complete run
+                (``interrupted_at`` stays None).
 
         Raises:
             SimulationError: For widths beyond the functional limit or
@@ -585,6 +612,12 @@ class QGpuSimulator:
             report.resumed_from_gate = start_cursor
         else:
             state = self._allocate_state(n, chunk_bits, report, dtype)
+        if stop_after is not None:
+            # The cursor the run halts in front of; a run that would stop
+            # at or past its last gate is simply a complete run.
+            stop_after = max(stop_after, start_cursor)
+            if stop_after >= len(ordered):
+                stop_after = None
 
         guard: ChunkTransferGuard | None = None
         if self.fault_plan is not None and self.fault_plan.active:
@@ -644,6 +677,9 @@ class QGpuSimulator:
             cancel.poll()
         try:
             for index, gate in enumerate(ops):
+                if index == stop_after:
+                    interrupted_at = index
+                    break
                 if cancel is not None:
                     cancel.poll()
                 applying = index >= start_cursor
@@ -716,9 +752,6 @@ class QGpuSimulator:
                             version_name=self.version.name,
                         )
                     report.checkpoints_written += 1
-                if stop_after is not None and cursor >= stop_after:
-                    interrupted_at = cursor
-                    break
         finally:
             if engine is not None:
                 engine.close()

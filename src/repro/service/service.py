@@ -30,8 +30,6 @@ from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from repro.analysis.capacity import host_footprint_bytes
 from repro.core.planner import QGPU_BASIS_TRACKING, QGPU_DIAGONAL_AWARE
 from repro.core.simulator import QGpuSimulator
@@ -63,7 +61,6 @@ from repro.service.supervision import (
     SupervisionConfig,
     Supervisor,
 )
-from repro.statevector.measure import sample_counts
 from repro.statevector.parallel import resolve_workers
 
 #: Default result-cache budget (bytes of canonical-JSON payloads).
@@ -143,38 +140,22 @@ def execute_job(
         f"job:{job_id or spec.display_name}", parent=parent_span, job=job_id
     ):
         outcome = simulator.run(circuit, cancel=cancel)
-        counts: dict[str, int] = {}
         if outcome.backend == "statevector":
-            amplitudes = outcome.amplitudes
-            state_sha256 = hashlib.sha256(amplitudes.tobytes()).hexdigest()
-            if spec.shots > 0:
-                sample_state = amplitudes
-                if amplitudes.dtype != np.complex128:
-                    # Renormalise the widened single-precision state so
-                    # the sampler's normalisation guard (1e-6) never trips
-                    # on accumulated complex64 rounding the norm bound
-                    # deliberately tolerates.  The double path is left
-                    # byte-for-byte untouched.
-                    sample_state = amplitudes.astype(np.complex128)
-                    sample_state /= np.linalg.norm(sample_state)
-                counts = {
-                    str(outcome_index): count
-                    for outcome_index, count in sample_counts(
-                        sample_state, shots=spec.shots, seed=spec.seed
-                    ).items()
-                }
+            # The read-only view feeds the hash through the buffer
+            # protocol: no copy of the state.
+            state_sha256 = hashlib.sha256(outcome.amplitudes).hexdigest()
         else:
-            # Non-dense backends: native counts and a digest over the
-            # native representation (a tableau has no amplitude vector).
-            execution = outcome.state
-            state_sha256 = execution.digest()
-            if spec.shots > 0:
-                counts = {
-                    str(outcome_index): count
-                    for outcome_index, count in execution.sample_counts(
-                        spec.shots, seed=spec.seed
-                    ).items()
-                }
+            # A digest over the native representation (a tableau has no
+            # amplitude vector).
+            state_sha256 = outcome.state.digest()
+        counts: dict[str, int] = {}
+        if spec.shots > 0:
+            counts = {
+                str(outcome_index): count
+                for outcome_index, count in outcome.sample_counts(
+                    spec.shots, seed=spec.seed
+                ).items()
+            }
     report = outcome.reliability
     return JobResult(
         counts=counts,

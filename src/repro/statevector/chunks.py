@@ -42,6 +42,7 @@ from repro.statevector.kernels import (
     chunk_diagonal_factor,
     sweep,
 )
+from repro.statevector.measure import _sample_blocks
 from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
 from repro.statevector.subcube import LiveSubcube, outside_mask
 
@@ -356,34 +357,15 @@ class ChunkedStateVector:
         return bool(np.all(np.abs(chunk) <= tolerance))
 
     def sample(self, shots: int, rng: np.random.Generator | None = None) -> dict[int, int]:
-        """Sample basis states chunk-by-chunk, never densifying.
+        """Sample basis states; returns index -> count.
 
-        Two-level sampling: first draw the chunk from the per-chunk
-        probability masses (zero chunks are never touched - the sampling
-        analogue of pruning), then the offset within the chunk.
+        The two-level sampler of :mod:`repro.statevector.measure` with
+        this state's chunks as its blocks: zero chunks are never expanded
+        (the sampling analogue of pruning) and nothing is densified.
         """
-        if shots <= 0:
-            raise SimulationError(f"shots must be positive, got {shots}")
         if rng is None:
             rng = np.random.default_rng()
-        masses = np.array(
-            [
-                float(np.sum(np.abs(chunk) ** 2, dtype=np.float64))
-                for chunk in self.chunks
-            ]
-        )
-        total = masses.sum()
-        if not np.isclose(total, 1.0, atol=1e-6):
-            raise SimulationError(f"state is not normalised (sum p = {total:.6f})")
-        chunk_draws = rng.choice(self.num_chunks, size=shots, p=masses / total)
-        counts: dict[int, int] = {}
-        for chunk_index in chunk_draws:
-            chunk = self.chunks[chunk_index]
-            probabilities = np.abs(chunk.astype(np.complex128)) ** 2
-            offset = int(rng.choice(self.chunk_size, p=probabilities / probabilities.sum()))
-            outcome = (int(chunk_index) << self.chunk_bits) | offset
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return counts
+        return _sample_blocks(self._backing, shots, rng, self.chunk_bits)
 
 
 __all__ = [

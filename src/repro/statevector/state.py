@@ -14,6 +14,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.errors import SimulationError
 from repro.statevector.apply import apply_gate
+from repro.statevector.measure import marginal_probability
 
 
 class StateVector:
@@ -103,15 +104,12 @@ class StateVector:
             raise SimulationError(f"qubit {qubit} out of range")
         if rng is None:
             rng = np.random.default_rng()
-        indices = np.arange(self.amplitudes.size)
-        one_mask = (indices >> qubit & 1).astype(bool)
-        p_one = float(np.sum(np.abs(self.amplitudes[one_mask]) ** 2))
+        p_one = marginal_probability(self.amplitudes, qubit)
         outcome = int(rng.random() < p_one)
-        keep = one_mask if outcome else ~one_mask
         probability = p_one if outcome else 1.0 - p_one
         if probability <= 0:
             raise SimulationError("measurement collapsed to zero norm")
-        self.amplitudes[~keep] = 0.0
+        self.amplitudes.reshape(-1, 2, 1 << qubit)[:, 1 - outcome, :] = 0.0
         self.amplitudes /= np.sqrt(probability)
         return outcome
 

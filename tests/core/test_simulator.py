@@ -16,6 +16,7 @@ from repro.core.simulator import QGpuSimulator, circuit_family
 from repro.core.versions import ALL_VERSIONS, BASELINE, PRUNING, QGPU, REORDER
 from repro.errors import SimulationError
 from repro.hardware.specs import PAPER_MACHINE, V100_MACHINE
+from repro.statevector.measure import sample_counts
 from repro.statevector.state import simulate
 
 
@@ -72,6 +73,94 @@ class TestPruningStatistics:
         assert 0 <= result.chunk_updates_skipped <= result.chunk_updates_total
         assert result.circuit_name == "bv_9"
         assert result.version == "Q-GPU"
+
+
+class TestReadout:
+    def test_amplitudes_is_a_read_only_view_of_the_backing(self) -> None:
+        result = QGpuSimulator(version=QGPU).run(get_circuit("qft", 8))
+        first, second = result.amplitudes, result.amplitudes
+        assert np.shares_memory(first, result.state.backing)
+        assert np.shares_memory(second, result.state.backing)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+        # Handing out views leaves the state itself writable.
+        assert result.state.backing.flags.writeable
+
+    def test_to_dense_is_a_writable_copy(self) -> None:
+        result = QGpuSimulator(version=QGPU).run(get_circuit("qft", 8))
+        copy = result.state.to_dense()
+        assert not np.shares_memory(copy, result.state.backing)
+        copy[0] = 7.0
+        assert result.amplitudes[0] != 7.0
+
+    def test_non_dense_amplitudes_densify(self) -> None:
+        circuit = get_circuit("bv", 8)
+        result = QGpuSimulator(backend="sparse").run(circuit)
+        np.testing.assert_allclose(
+            result.amplitudes, simulate(circuit).amplitudes, atol=1e-10
+        )
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_sample_counts_is_the_front_doors_readout(self, precision: str) -> None:
+        result = QGpuSimulator(precision=precision).run(get_circuit("qft", 8))
+        amplitudes = result.amplitudes.astype(np.complex128)
+        amplitudes /= np.linalg.norm(amplitudes)
+        assert result.sample_counts(64, seed=5) == sample_counts(amplitudes, 64, seed=5)
+
+    def test_sample_counts_of_a_non_dense_result(self) -> None:
+        result = QGpuSimulator(backend="stabilizer").run(get_circuit("bv", 8))
+        assert result.sample_counts(32, seed=2) == result.state.sample_counts(32, seed=2)
+
+
+@pytest.mark.parametrize("fusion", ["on", "off"])
+@pytest.mark.parametrize("precision", ["double", "single"])
+class TestStopAfterEdges:
+    def test_zero_applies_nothing(self, precision: str, fusion: str) -> None:
+        sim = QGpuSimulator(precision=precision, fusion=fusion)
+        result = sim.run(get_circuit("qft", 7), stop_after=0)
+        assert result.interrupted_at == 0
+        assert result.chunk_updates_total == 0
+        assert result.amplitudes[0] == 1.0
+        assert np.count_nonzero(result.amplitudes) == 1
+
+    @pytest.mark.parametrize("beyond", [0, 3])
+    def test_at_or_past_the_end_is_a_complete_run(
+        self, precision: str, fusion: str, beyond: int
+    ) -> None:
+        circuit = get_circuit("qft", 7)
+        sim = QGpuSimulator(precision=precision, fusion=fusion)
+        complete = sim.run(circuit)
+        result = sim.run(circuit, stop_after=len(circuit) + beyond)
+        assert result.interrupted_at is None
+        np.testing.assert_array_equal(result.amplitudes, complete.amplitudes)
+        assert result.chunk_updates_total == complete.chunk_updates_total
+        # The single-precision norm guard covers every complete run.
+        assert result.norm_deviation == complete.norm_deviation
+        assert (result.norm_deviation is not None) == (precision == "single")
+
+    def test_in_between_halts_in_front_of_that_gate(
+        self, precision: str, fusion: str
+    ) -> None:
+        circuit = get_circuit("qft", 7)
+        sim = QGpuSimulator(precision=precision, fusion=fusion, version=BASELINE)
+        result = sim.run(circuit, stop_after=1)
+        assert result.interrupted_at == 1
+        prefix = QuantumCircuit(7, name=circuit.name)
+        prefix.append(circuit.gates[0])
+        np.testing.assert_array_equal(
+            result.amplitudes, sim.run(prefix, fusion="off").amplitudes
+        )
+
+
+def test_stop_after_behind_a_resumed_cursor_applies_nothing(tmp_path) -> None:
+    circuit = get_circuit("qft", 7)
+    path = tmp_path / "run.qgck"
+    sim = QGpuSimulator()
+    killed = sim.run(circuit, checkpoint_every=3, checkpoint_path=path, stop_after=6)
+    assert killed.interrupted_at == 6
+    resumed = sim.run(circuit, resume_from=path, stop_after=2)
+    assert resumed.interrupted_at == 6
+    np.testing.assert_array_equal(resumed.amplitudes, killed.amplitudes)
 
 
 class TestTimedFacade:

@@ -10,9 +10,12 @@ non-dense backends end to end, and submission prices planner-routed jobs
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro.circuits.library import get_circuit
+from repro.core.simulator import QGpuSimulator
 from repro.errors import ServiceError
 from repro.hardware.specs import MACHINES
 from repro.reliability.policy import DEFAULT_POLICY
@@ -129,6 +132,35 @@ class TestExecuteJob:
         assert first.precision == "double"
         assert first.state_sha256 == second.state_sha256
         assert first.counts == second.counts
+
+    # gs is H on fresh qubits and CZ only: every sum has one non-zero term,
+    # so its bytes (pinned at the parent commit) do not depend on the BLAS
+    # or the CPU; qft's phases do, so it is checked against the copy only.
+    @pytest.mark.parametrize(
+        "family, qubits, precision, pinned",
+        [
+            ("gs", 10, "double",
+             "2025f54d0f3f6943ad9383d38749c0dc2a0fce5028d4d7e8bc1fd025e6e3ee02"),
+            ("gs", 10, "single",
+             "247f75babac3340bd905ceab5c1fa09a488e9c9903cd7a7d0c8724dd1e2f2a4c"),
+            ("qft", 9, "double", None),
+            ("qft", 9, "single", None),
+        ],
+    )
+    def test_state_digest_hashes_the_amplitude_bytes(
+        self, family: str, qubits: int, precision: str, pinned: str | None
+    ) -> None:
+        # The job hashes the read-only amplitude view through the buffer
+        # protocol; the digest is the one ``tobytes()`` (a copy) gave.
+        result = self._run(
+            JobSpec(family=family, qubits=qubits, shots=8, precision=precision)
+        )
+        direct = QGpuSimulator(machine=P100, precision=precision).run(
+            get_circuit(family, qubits)
+        )
+        copied = direct.state.to_dense().tobytes()
+        assert result.state_sha256 == hashlib.sha256(copied).hexdigest()
+        assert pinned in (None, result.state_sha256)
 
 
 class TestServiceSubmission:
