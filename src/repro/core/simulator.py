@@ -865,15 +865,20 @@ class QGpuSimulator:
             AnalysisError: ``backend="auto"`` and nothing can execute the
                 circuit.
         """
-        backend, _precision = self.resolve_backend(circuit)
+        if self.backend != "auto" and self.precision != "auto":
+            backend, chosen = self.backend, None
+        else:
+            chosen = self.plan(circuit)
+            backend = chosen.backend
         if backend == "statevector":
-            return self.estimate(
-                circuit, compression_ratio=compression_ratio
-            ).total_seconds
-        from repro.planner import analyze_circuit, backend_cost
+            return self._estimate_dense(circuit, compression_ratio).total_seconds
+        if chosen is not None:
+            cost = chosen.cost_for(backend)
+        else:
+            from repro.planner import analyze_circuit, backend_cost
 
-        features = analyze_circuit(circuit, bond_cap=self.max_bond)
-        cost = backend_cost(features, backend, self.machine_spec, "double")
+            features = analyze_circuit(circuit, bond_cap=self.max_bond)
+            cost = backend_cost(features, backend, self.machine_spec, "double")
         if not cost.feasible:
             raise AnalysisError(
                 f"backend {backend!r} cannot run {circuit.name}: {cost.reason}"
@@ -912,6 +917,12 @@ class QGpuSimulator:
                 f"{circuit.name} routes to the {backend!r} backend; use "
                 f"estimate_cost() or repro.planner.plan() instead"
             )
+        return self._estimate_dense(circuit, compression_ratio)
+
+    def _estimate_dense(
+        self, circuit: QuantumCircuit, compression_ratio: float | None
+    ) -> TimedResult:
+        """:meth:`estimate` once the circuit is known to route dense."""
         if compression_ratio is None:
             compression_ratio = (
                 family_ratio(circuit_family(circuit))

@@ -66,11 +66,7 @@ class BackendExecution:
             raise SimulationError(f"shots must be positive, got {shots}")
         rng = np.random.default_rng(seed)
         if self.backend == "stabilizer":
-            counts: dict[int, int] = {}
-            for _ in range(shots):
-                outcome = self.state.copy().measure_all(rng)
-                counts[outcome] = counts.get(outcome, 0) + 1
-            return counts
+            return self.state.sample_counts(shots, rng)
         if self.backend == "sparse":
             indices = sorted(self.state.amplitudes)
             probs = np.array(

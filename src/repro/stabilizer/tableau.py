@@ -136,43 +136,6 @@ class StabilizerState:
         self.x[:, target] ^= self.x[:, control]
         self.z[:, control] ^= self.z[:, target]
 
-    # -- row algebra (Aaronson-Gottesman "rowsum") ------------------------------
-
-    def _phase_exponent(self, h: int, i: int) -> int:
-        """Exponent of i (mod 4) accumulated when row ``i`` multiplies row ``h``."""
-        x1, z1 = self.x[i], self.z[i]
-        x2, z2 = self.x[h], self.z[h]
-        # g() per Aaronson-Gottesman, vectorised:
-        g = np.zeros(self.num_qubits, dtype=np.int64)
-        # x1=1, z1=0 (X): g = z2*(2*x2 - 1)
-        mask = x1 & ~z1
-        g[mask] = (z2[mask] * (2 * x2[mask].astype(np.int64) - 1))
-        # x1=1, z1=1 (Y): g = z2 - x2
-        mask = x1 & z1
-        g[mask] = z2[mask].astype(np.int64) - x2[mask].astype(np.int64)
-        # x1=0, z1=1 (Z): g = x2*(1 - 2*z2)
-        mask = ~x1 & z1
-        g[mask] = x2[mask].astype(np.int64) * (1 - 2 * z2[mask].astype(np.int64))
-        total = 2 * int(self.r[h]) + 2 * int(self.r[i]) + int(g.sum())
-        return total % 4
-
-    def _rowsum(self, h: int, i: int) -> None:
-        """Row ``h`` *= row ``i`` (Pauli product with sign tracking).
-
-        The +/-1 phase invariant only holds for stabilizer and scratch
-        rows (``h >= n``).  Destabilizer rows can legitimately pick up an
-        odd phase exponent - the paired destabilizer *anticommutes* with
-        the measured stabilizer during a random-outcome measurement - and
-        their sign bits carry no meaning in the Aaronson-Gottesman
-        formalism, so any consistent value works there.
-        """
-        phase = self._phase_exponent(h, i)
-        if h >= self.num_qubits and phase not in (0, 2):
-            raise SimulationError("stabilizer phase left the +/-1 group")
-        self.r[h] = phase in (2, 3)
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
-
     # -- measurement -----------------------------------------------------------
 
     def measure(self, q: int, rng: np.random.Generator | None = None) -> int:
@@ -183,37 +146,13 @@ class StabilizerState:
         """
         if not 0 <= q < self.num_qubits:
             raise SimulationError(f"qubit {q} out of range")
-        n = self.num_qubits
-        stabilizer_rows = np.nonzero(self.x[n:, q])[0] + n
-        if stabilizer_rows.size:
-            # Random outcome: some stabilizer anticommutes with Z_q.
-            if rng is None:
-                rng = np.random.default_rng()
-            p = int(stabilizer_rows[0])
-            for i in range(2 * n):
-                if i != p and self.x[i, q]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = False
-            self.z[p] = False
-            self.z[p, q] = True
-            outcome = int(rng.integers(0, 2))
-            self.r[p] = bool(outcome)
-            return outcome
-        # Deterministic outcome: accumulate into scratch row.
-        self.x = np.vstack([self.x, np.zeros(n, dtype=bool)])
-        self.z = np.vstack([self.z, np.zeros(n, dtype=bool)])
-        self.r = np.append(self.r, False)
-        scratch = 2 * n
-        for i in range(n):
-            if self.x[i, q]:
-                self._rowsum(scratch, i + n)
-        outcome = int(self.r[scratch])
-        self.x = self.x[:scratch]
-        self.z = self.z[:scratch]
-        self.r = self.r[:scratch]
+        p, sign = _measure_z(self.x, self.z, self.r[:, None], q)
+        if p is None:
+            return int(sign[0])
+        if rng is None:
+            rng = np.random.default_rng()
+        outcome = int(rng.integers(0, 2))
+        self.r[p] = bool(outcome)
         return outcome
 
     def measure_all(self, rng: np.random.Generator | None = None) -> int:
@@ -224,6 +163,48 @@ class StabilizerState:
         for q in range(self.num_qubits):
             value |= self.measure(q, rng) << q
         return value
+
+    def sample_counts(
+        self, shots: int, rng: np.random.Generator
+    ) -> dict[int, int]:
+        """Counts of ``shots`` full-register measurements (not collapsing).
+
+        One symbolic :meth:`measure_all` on a copy of the tableau: every
+        sign bit is an affine form ``[constant | r_1 .. r_k]`` over GF(2)
+        in the ``k`` random outcomes, so the register reads
+        ``constant ^ coeff . r`` and all shots are one ``(shots, k)`` bit
+        draw and one matrix product - O(n^3) once, O(shots k n) after.
+        The draw consumes ``rng`` exactly as ``shots`` collapsing
+        ``copy().measure_all(rng)`` calls do and outcomes are inserted in
+        first-occurrence order, so the dict (and its iteration order) is
+        the one that loop builds.
+        """
+        if shots <= 0:
+            raise SimulationError(f"shots must be positive, got {shots}")
+        n = self.num_qubits
+        x, z = self.x.copy(), self.z.copy()
+        sign = np.zeros((2 * n, n + 1), dtype=bool)
+        sign[:, 0] = self.r
+        forms = np.empty((n, n + 1), dtype=bool)
+        k = 0
+        for q in range(n):
+            p, form = _measure_z(x, z, sign, q)
+            if p is not None:
+                k += 1  # a random outcome: the next variable
+                sign[p] = False
+                sign[p, k] = True
+                form = sign[p]
+            forms[q] = form
+        draws = rng.integers(0, 2, size=(shots, k))
+        bits = (draws @ forms[:, 1 : k + 1].T.astype(np.int64) + forms[:, 0]) & 1
+        packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+        rows, first, tallies = np.unique(
+            packed, axis=0, return_index=True, return_counts=True
+        )
+        return {
+            int.from_bytes(rows[i].tobytes(), "little"): int(tallies[i])
+            for i in np.argsort(first)
+        }
 
     # -- queries ----------------------------------------------------------------
 
@@ -249,10 +230,8 @@ class StabilizerState:
         n = self.num_qubits
         if np.any(self.x[n:, q]):
             return 0.0
-        # Deterministic: peek via a scratch measurement on a copy.
-        clone = self.copy()
-        outcome = clone.measure(q, rng=np.random.default_rng(0))
-        return 1.0 - 2.0 * outcome
+        _, sign = _measure_z(self.x, self.z, self.r[:, None], q)
+        return 1.0 - 2.0 * int(sign[0])
 
     def copy(self) -> "StabilizerState":
         clone = StabilizerState(self.num_qubits)
@@ -260,6 +239,76 @@ class StabilizerState:
         clone.z = self.z.copy()
         clone.r = self.r.copy()
         return clone
+
+
+def _g_sum(
+    x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray
+) -> np.ndarray:
+    """Exponent of i picked up when Pauli ``(x1, z1)`` multiplies ``(x2, z2)``.
+
+    Aaronson-Gottesman's ``g`` summed over qubits (the last axis); the
+    second operand may be a stack of rows.
+    """
+    x2, z2 = x2.astype(np.int8), z2.astype(np.int8)
+    g = np.where(
+        x1 & z1,
+        z2 - x2,                                           # Y
+        np.where(x1, z2 * (2 * x2 - 1),                    # X
+                 np.where(z1, x2 * (1 - 2 * z2), 0)),      # Z, I
+    )
+    return g.sum(axis=-1, dtype=np.int64)
+
+
+def _measure_z(
+    x: np.ndarray, z: np.ndarray, sign: np.ndarray, q: int
+) -> tuple[int | None, np.ndarray | None]:
+    """One ``Z_q`` measurement on the tableau ``(x, z, sign)``, in place.
+
+    ``sign`` is ``(2n, m)``: row ``h`` is an affine form over GF(2),
+    ``[constant | coefficients of earlier random outcomes]`` (``m == 1``
+    is a plain sign bit).  Multiplying row ``i`` into row ``h``
+    ("rowsum") updates ``sign[h] ^= sign[i]`` and flips the constant
+    when ``g mod 4 >= 2``; which rows combine depends on ``x``/``z``
+    only.  Returns ``(p, None)`` after a random measurement - the caller
+    writes the outcome into ``sign[p]`` - or ``(None, form)`` for a
+    deterministic one, which changes nothing.
+
+    The +/-1 phase invariant only holds for stabilizer and scratch rows.
+    Destabilizer rows can legitimately pick up an odd phase exponent -
+    the paired destabilizer *anticommutes* with the measured stabilizer -
+    and their sign bits carry no meaning in the formalism, so any
+    consistent value works there.
+    """
+    n = x.shape[1]
+    anticommuting = np.flatnonzero(x[n:, q])
+    if anticommuting.size:
+        p = n + int(anticommuting[0])
+        rows = np.flatnonzero(x[:, q])
+        rows = rows[rows != p]
+        g = _g_sum(x[p], z[p], x[rows], z[rows])
+        if np.any(g[rows >= n] & 1):
+            raise SimulationError("stabilizer phase left the +/-1 group")
+        sign[rows] ^= sign[p]
+        sign[rows, 0] ^= (g & 3) >= 2
+        x[rows] ^= x[p]
+        z[rows] ^= z[p]
+        x[p - n], z[p - n], sign[p - n] = x[p], z[p], sign[p]
+        x[p] = z[p] = False
+        z[p, q] = True
+        return p, None
+    # Deterministic: multiply the stabilizers paired with the
+    # destabilizers that anticommute with Z_q into a scratch row.
+    scratch_x, scratch_z = np.zeros((2, n), dtype=bool)
+    form = np.zeros(sign.shape[1], dtype=bool)
+    for i in n + np.flatnonzero(x[:n, q]):
+        g = _g_sum(x[i], z[i], scratch_x, scratch_z)
+        if g & 1:
+            raise SimulationError("stabilizer phase left the +/-1 group")
+        form ^= sign[i]
+        form[0] ^= (g & 3) >= 2
+        scratch_x ^= x[i]
+        scratch_z ^= z[i]
+    return None, form
 
 
 def simulate_clifford(circuit: QuantumCircuit) -> StabilizerState:

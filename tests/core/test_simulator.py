@@ -7,6 +7,8 @@ simulation, for every benchmark family and every version.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.core.simulator import QGpuSimulator, circuit_family
 from repro.core.versions import ALL_VERSIONS, BASELINE, PRUNING, QGPU, REORDER
 from repro.errors import SimulationError
 from repro.hardware.specs import PAPER_MACHINE, V100_MACHINE
+from repro.planner import analyze_circuit, backend_cost
+from repro.stabilizer import is_clifford_circuit
 from repro.statevector.measure import sample_counts
 from repro.statevector.state import simulate
 
@@ -180,3 +184,53 @@ class TestTimedFacade:
     def test_circuit_family_parser(self) -> None:
         assert circuit_family(get_circuit("qft", 30)) == "qft"
         assert circuit_family(QuantumCircuit(2, name="custom")) == "custom"
+
+
+class TestEstimateCostPlansOnce:
+    """`estimate_cost` used to plan (one analysis) and then analyse again."""
+
+    @pytest.mark.parametrize("backend", ["auto", "stabilizer", "sparse", "mps"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_analysis_and_the_two_step_price(
+        self, family: str, backend: str, monkeypatch
+    ) -> None:
+        circuit = get_circuit(family, 10)
+        if backend == "stabilizer" and not is_clifford_circuit(circuit):
+            pytest.skip("the tableau runs Clifford circuits only")
+        sim = QGpuSimulator(backend=backend, precision="auto")
+        # The old two-step value: resolve the backend, then price it from
+        # a fresh analysis (dense circuits go to the DES model).
+        routed, _precision = sim.resolve_backend(circuit)
+        if routed == "statevector":
+            expected = sim.estimate(circuit, compression_ratio=1.0).total_seconds
+        else:
+            features = analyze_circuit(circuit, bond_cap=sim.max_bond)
+            expected = backend_cost(
+                features, routed, sim.machine_spec, "double"
+            ).seconds
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return analyze_circuit(*args, **kwargs)
+
+        # `repro.planner.plan` as an attribute is the function; the module
+        # that calls analyze_circuit is only reachable through sys.modules.
+        monkeypatch.setattr(
+            sys.modules["repro.planner.plan"], "analyze_circuit", counting
+        )
+        monkeypatch.setattr("repro.planner.analyze_circuit", counting)
+        assert sim.estimate_cost(circuit) == expected  # bit-equal, not approx
+        assert len(calls) == 1
+
+    def test_fully_forced_knobs_price_without_planning(self, monkeypatch) -> None:
+        # (sparse, single) is not a plan the planner accepts, but it runs
+        # (non-dense backends ignore precision) and so it must price.
+        circuit = get_circuit("gs", 10)
+        sim = QGpuSimulator(backend="sparse", precision="single")
+        features = analyze_circuit(circuit, bond_cap=sim.max_bond)
+        monkeypatch.setattr(sim, "plan", None)
+        assert sim.estimate_cost(circuit) == backend_cost(
+            features, "sparse", sim.machine_spec, "double"
+        ).seconds

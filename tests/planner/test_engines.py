@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.circuits.library import get_circuit
 from repro.errors import AnalysisError, SimulationError
 from repro.planner import run_backend
+from repro.service import BatchService, JobSpec
 from repro.statevector.state import simulate
 
 
@@ -70,6 +73,43 @@ class TestSampling:
         for backend in ("stabilizer", "sparse"):
             counts = run_backend(circuit, backend).sample_counts(128, seed=3)
             assert set(counts) <= {0, (1 << 6) - 1}
+
+    @pytest.mark.parametrize("backend", ["stabilizer", "sparse", "mps"])
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_non_positive_shots_rejected(self, backend: str, shots: int) -> None:
+        execution = run_backend(get_circuit("ghz", 4), backend)
+        with pytest.raises(SimulationError, match="shots must be positive"):
+            execution.sample_counts(shots)
+
+    def test_journaled_counts_are_byte_identical_to_the_per_shot_sampler(
+        self,
+    ) -> None:
+        # JobResult.counts JSON and tableau digests as the parent commit
+        # (one collapsing measure_all per shot) produced them.
+        service = BatchService(workers=1)
+        jobs = [
+            service.submit(JobSpec(
+                family=family, qubits=qubits, shots=24, seed=2,
+                backend="auto", precision="auto",
+            ))
+            for family, qubits in (("hlf", 10), ("bv", 12))
+        ]
+        service.run_until_complete()
+        hlf, bv = (job.result for job in jobs)
+        assert hlf.backend == bv.backend == "stabilizer"
+        assert json.dumps(hlf.counts) == (
+            '{"65": 1, "347": 1, "658": 1, "995": 1, "896": 1, "219": 1, '
+            '"139": 1, "235": 1, "91": 1, "553": 1, "537": 1, "666": 1, '
+            '"888": 1, "784": 1, "96": 1, "754": 1, "883": 1, "227": 1, '
+            '"81": 1, "368": 1, "515": 1, "370": 1, "297": 1, "298": 1}'
+        )
+        assert json.dumps(bv.counts) == '{"4095": 10, "2047": 14}'
+        assert hlf.state_sha256 == (
+            "f6526ba995f1294b3dcea47ca40c8754d979c979362ae8dbc1a8f9ef861ef2d3"
+        )
+        assert bv.state_sha256 == (
+            "4fda4101ac4d5dbdb14e5558c18197dd8e11ad098372923bad5a205dd34bed90"
+        )
 
 
 class TestDigest:

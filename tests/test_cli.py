@@ -30,6 +30,37 @@ class TestSimulate:
                      "--version", "Baseline"]) == 0
         assert "Baseline" in capsys.readouterr().out
 
+    def test_tableau_readout_is_byte_identical_to_the_per_shot_sampler(
+        self, capsys
+    ) -> None:
+        # Stdout of the parent commit, which collapsed a tableau copy per
+        # shot; hlf_10 has five outcomes tied at 5, so their order is the
+        # counts dict's first-occurrence order.
+        assert main(["simulate", "--family", "bv", "--qubits", "12",
+                     "--backend", "auto", "--precision", "auto",
+                     "--shots", "256", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "bv_12: 35 gates, version Q-GPU\n"
+            "backend: stabilizer, precision: double\n"
+            "  |111111111111>  132\n"
+            "  |011111111111>  124\n"
+        )
+        assert main(["simulate", "--family", "hlf", "--qubits", "10",
+                     "--backend", "stabilizer", "--shots", "300",
+                     "--seed", "5"]) == 0
+        assert capsys.readouterr().out == (
+            "hlf_10: 32 gates, version Q-GPU\n"
+            "backend: stabilizer, precision: double\n"
+            "  |0010100110>  7\n"
+            "  |0110000100>  6\n"
+            "  |1000011010>  5\n"
+            "  |0010010100>  5\n"
+            "  |0001110010>  5\n"
+            "  |0101100010>  5\n"
+            "  |0101110010>  5\n"
+            "  |0101100000>  5\n"
+        )
+
 
 class TestEstimate:
     def test_estimate_all_versions(self, capsys) -> None:
