@@ -9,14 +9,15 @@ it cancels out of the normalized comparisons); here it feeds the Qsim-Cirq
 cost model and the fusion ablation bench.
 
 The pass is greedy and structural; :meth:`FusedBlock.matrix` additionally
-forms the fused unitary (what a real fusion pass uploads to the GPU), and
-:func:`apply_fused` runs a circuit through its fused blocks on a dense
-state - validating the optimization functionally, not just by gate counts.
+forms the fused unitary (what a real fusion pass uploads to the GPU).  The
+functional engine's :func:`repro.statevector.fusion.fuse_slabs` runs this
+same pass on the stretches between its diagonal slabs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -72,23 +73,7 @@ class FusedBlock:
         return fused
 
 
-def apply_fused(
-    state: np.ndarray, circuit: QuantumCircuit, max_fused_qubits: int = 4
-) -> np.ndarray:
-    """Apply ``circuit`` to ``state`` through fused multi-qubit passes.
-
-    One :func:`~repro.statevector.apply.apply_matrix` call per fused block
-    instead of one per gate - the functional realisation of the fusion
-    optimization.  Returns ``state`` (updated in place).
-    """
-    from repro.statevector.apply import apply_matrix
-
-    for block in fuse(circuit, max_fused_qubits):
-        apply_matrix(state, block.matrix(), block.qubits)
-    return state
-
-
-def fuse(circuit: QuantumCircuit, max_fused_qubits: int = 4) -> list[FusedBlock]:
+def fuse(circuit: Iterable[Gate], max_fused_qubits: int = 4) -> list[FusedBlock]:
     """Greedy gate fusion up to ``max_fused_qubits``-wide blocks.
 
     A gate joins the current block when the union of qubits stays within
@@ -98,7 +83,7 @@ def fuse(circuit: QuantumCircuit, max_fused_qubits: int = 4) -> list[FusedBlock]
     state with a wider matrix for no traffic saving.
 
     Args:
-        circuit: Circuit to fuse.
+        circuit: Circuit (or any gate stream) to fuse.
         max_fused_qubits: Widest allowed block (Qsim uses 4 by default).
 
     Returns:

@@ -185,7 +185,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     simulator = QGpuSimulator(
         version=version, fault_plan=_fault_plan(args), workers=args.workers,
         tracer=tracer, backend=args.backend, precision=args.precision,
-        fusion=args.fusion,
     )
     profiler = _start_profiler(tracer)
     result = simulator.run(
@@ -953,9 +952,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--workers", type=_workers_arg, default="auto",
                           metavar="N|auto",
                           help="chunk-worker threads (1 = bit-exact serial)")
-    simulate.add_argument("--fusion", default="on", choices=("on", "off"),
-                          help="gate-fusion slabs (off = pre-fusion "
-                               "byte-identical gate-by-gate path)")
     _add_backend_options(simulate)
     _add_obs_options(simulate)
     simulate.set_defaults(fn=_cmd_simulate)

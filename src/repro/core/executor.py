@@ -89,20 +89,6 @@ class FusedOp:
             is_diagonal=all(g.is_diagonal for g in block.gates),
         )
 
-    @classmethod
-    def from_slab(cls, slab) -> "FusedOp":
-        """Timed-model stand-in for a functional-engine fusion slab.
-
-        Mirrors :meth:`from_block` for
-        :class:`~repro.statevector.fusion.GateSlab` - the DES timeline
-        charges one sweep per slab, exactly what the chunked engine pays.
-        """
-        return cls(
-            name=slab.name,
-            qubits=slab.qubits,
-            is_diagonal=slab.is_diagonal,
-        )
-
 
 @dataclass
 class GateTiming:
@@ -247,7 +233,6 @@ class TimedExecutor:
         version: VersionConfig,
         compression_ratio: float = 1.0,
         fusion_max_qubits: int = 0,
-        fusion_slabs: bool = False,
     ) -> TimedResult:
         """Model the execution of ``circuit`` under ``version``.
 
@@ -261,11 +246,6 @@ class TimedExecutor:
             fusion_max_qubits: When positive, apply Aer-style gate fusion
                 up to this block width before executing (ablation; fusion
                 cancels out of baseline-normalized figures).
-            fusion_slabs: Model the functional engine's slab fusion
-                (:func:`repro.statevector.fusion.fuse_slabs`) instead:
-                the timeline charges one sweep per slab, matching the
-                fused sweep count the chunked engine actually executes.
-                Mutually exclusive with ``fusion_max_qubits``.
 
         Raises:
             SimulationError: When the state vector exceeds host memory (the
@@ -285,25 +265,12 @@ class TimedExecutor:
                 f"compression ratio must be in (0, 1], got {compression_ratio}"
             )
 
-        if fusion_max_qubits and fusion_slabs:
-            raise SimulationError(
-                "fusion_max_qubits and fusion_slabs are mutually exclusive"
-            )
         ordered = reorder(circuit, version.reorder_strategy)
         ops: list = list(ordered)
         if fusion_max_qubits:
             ops = [
                 FusedOp.from_block(block)
                 for block in fuse(ordered, fusion_max_qubits)
-            ]
-        elif fusion_slabs:
-            # Imported lazily: repro.statevector pulls in the functional
-            # engine stack, which this timed model does not otherwise need.
-            from repro.statevector.fusion import GateSlab, fuse_slabs
-
-            ops = [
-                FusedOp.from_slab(op) if isinstance(op, GateSlab) else op
-                for op in fuse_slabs(list(ordered))
             ]
         result = TimedResult(
             circuit_name=circuit.name,

@@ -59,7 +59,7 @@ from repro.statevector.chunks import (
     chunk_pair_groups,
     gather_remap,
 )
-from repro.statevector.fusion import slab_members
+from repro.statevector.fusion import FusedGate, GateSlab, fuse_slabs, slab_members
 from repro.statevector.kernels import sweep
 from repro.statevector.measure import sample_counts
 from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
@@ -146,6 +146,18 @@ class FunctionalResult:
         return self.chunk_updates_skipped / self.chunk_updates_total
 
 
+def _split_at(ops: list[FusedGate], cursor: int) -> list[FusedGate]:
+    """``ops`` with the slab straddling source gate ``cursor`` (if any)
+    expanded into its member gates, so ``cursor`` is an op boundary."""
+    position = 0
+    for index, op in enumerate(ops):
+        members = slab_members(op)
+        if position < cursor < position + len(members):
+            return [*ops[:index], *members, *ops[index + 1 :]]
+        position += len(members)
+    return ops
+
+
 def circuit_family(circuit: QuantumCircuit) -> str:
     """The benchmark family encoded in a ``family_n`` circuit name."""
     return circuit.name.rsplit("_", 1)[0]
@@ -189,14 +201,11 @@ class QGpuSimulator:
             planner's pricing.
         single_norm_bound: Norm-deviation ceiling accepted from a
             single-precision run before falling back to double.
-        fusion: ``"on"`` (default) contracts consecutive gates into
-            slabs (:func:`repro.statevector.fusion.fuse_slabs`) before
-            the statevector gate loop - fewer full-state sweeps, results
-            within ``atol <= 1e-12`` of the unfused path.  ``"off"``
-            applies gates one by one, bit-identical to the pre-fusion
-            engine.  Fusion is bypassed automatically (as if ``"off"``)
-            for fault-guarded, checkpointing, resumed, or ``stop_after``
-            runs, whose per-gate semantics must stay exact.
+
+    The dense engine always executes the fused op stream of
+    :func:`repro.statevector.fusion.fuse_slabs`, in every run mode.
+    Cursors (checkpoints, ``stop_after``, norm checks, fault anchors)
+    count *source* gates and act at op boundaries.
     """
 
     def __init__(
@@ -212,7 +221,6 @@ class QGpuSimulator:
         precision: str = "double",
         max_bond: int = 64,
         single_norm_bound: float | None = None,
-        fusion: str = "on",
     ) -> None:
         # Imported lazily everywhere in this module: repro.planner imports
         # repro.core.involvement, whose package __init__ imports this
@@ -240,10 +248,6 @@ class QGpuSimulator:
             )
         if max_bond < 1:
             raise SimulationError(f"max_bond must be >= 1, got {max_bond}")
-        if fusion not in ("on", "off"):
-            raise SimulationError(
-                f"fusion must be 'on' or 'off', got {fusion!r}"
-            )
         resolve_workers(workers, 1)  # validate eagerly; resolved per run
         self.machine = Machine(machine)
         self.machine_spec = machine
@@ -252,7 +256,6 @@ class QGpuSimulator:
         self.fault_plan = fault_plan
         self.reliability_policy = reliability_policy
         self.workers = workers
-        self.fusion = fusion
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.backend = backend
         self.precision = precision
@@ -272,7 +275,6 @@ class QGpuSimulator:
         resume_from: str | Path | None = None,
         stop_after: int | None = None,
         workers: int | str | None = None,
-        fusion: str | None = None,
         cancel: CancellationToken | None = None,
     ) -> FunctionalResult:
         """Exact simulation with the version's reordering and pruning.
@@ -281,26 +283,27 @@ class QGpuSimulator:
             circuit: Circuit to simulate.
             workers: Per-run override of the constructor's ``workers``
                 knob (None = use the constructor's setting).
-            fusion: Per-run override of the constructor's ``fusion`` knob
-                (None = use the constructor's setting).
-            cancel: Optional cooperative cancellation token.  The gate
-                loop polls it before every applied gate (which also
+            cancel: Optional cooperative cancellation token.  The op
+                loop polls it before every applied op (which also
                 heartbeats the token), so a cancelled run stops within
-                one gate's work and raises
+                one op's work and raises
                 :class:`~repro.errors.JobCancelled`.
-            checkpoint_every: Write a checkpoint after every N applied
-                gates (requires ``checkpoint_path``).
+            checkpoint_every: Write a checkpoint at the first op boundary
+                at or past every multiple of N source gates (requires
+                ``checkpoint_path``).
             checkpoint_path: File the (single, atomically replaced)
                 checkpoint is written to.
             resume_from: Checkpoint file to resume from; the prefix of the
                 circuit up to the stored cursor is replayed through the
                 pruning trackers but not re-applied, so the continued run
-                is bit-identical to an uninterrupted one.
-            stop_after: Halt once this many gates have been applied
-                (simulates a crash for checkpoint testing; the result's
-                ``interrupted_at`` records the cursor).  ``0`` applies
-                nothing; a value ``>= len(circuit)`` is a complete run
-                (``interrupted_at`` stays None).
+                is bit-identical to an uninterrupted one.  A cursor inside
+                a slab resumes with that slab's remaining members as
+                single gates.
+            stop_after: Halt at the first op boundary at or past this many
+                source gates (simulates a crash for checkpoint testing;
+                the result's ``interrupted_at`` records that cursor).
+                ``0`` applies nothing; a value ``>= len(circuit)`` is a
+                complete run (``interrupted_at`` stays None).
 
         Raises:
             SimulationError: For widths beyond the functional limit or
@@ -327,7 +330,6 @@ class QGpuSimulator:
                 resume_from=resume_from,
                 stop_after=stop_after,
                 workers=workers,
-                fusion=fusion,
                 cancel=cancel,
             )
 
@@ -381,7 +383,6 @@ class QGpuSimulator:
         resume_from: str | Path | None,
         stop_after: int | None,
         workers: int | str | None,
-        fusion: str | None,
         cancel: CancellationToken | None,
     ) -> FunctionalResult:
         if backend != "statevector":
@@ -403,7 +404,6 @@ class QGpuSimulator:
                 resume_from=resume_from,
                 stop_after=stop_after,
                 workers=workers,
-                fusion=fusion,
                 cancel=cancel,
             )
         return self._run(
@@ -414,7 +414,6 @@ class QGpuSimulator:
             resume_from=resume_from,
             stop_after=stop_after,
             workers=workers,
-            fusion=fusion,
             cancel=cancel,
         )
 
@@ -482,7 +481,6 @@ class QGpuSimulator:
         resume_from: str | Path | None,
         stop_after: int | None,
         workers: int | str | None,
-        fusion: str | None,
         cancel: CancellationToken | None,
     ) -> FunctionalResult:
         """The complex64 fast path with the norm-guard double fallback."""
@@ -506,7 +504,6 @@ class QGpuSimulator:
             resume_from=None,
             stop_after=stop_after,
             workers=workers,
-            fusion=fusion,
             cancel=cancel,
             dtype=np.complex64,
         )
@@ -532,7 +529,6 @@ class QGpuSimulator:
             resume_from=None,
             stop_after=stop_after,
             workers=workers,
-            fusion=fusion,
             cancel=cancel,
         )
         retried.precision = "double"
@@ -550,7 +546,6 @@ class QGpuSimulator:
         resume_from: str | Path | None,
         stop_after: int | None,
         workers: int | str | None,
-        fusion: str | None = None,
         cancel: CancellationToken | None = None,
         dtype=np.complex128,
     ) -> FunctionalResult:
@@ -613,8 +608,9 @@ class QGpuSimulator:
         else:
             state = self._allocate_state(n, chunk_bits, report, dtype)
         if stop_after is not None:
-            # The cursor the run halts in front of; a run that would stop
-            # at or past its last gate is simply a complete run.
+            # The run halts at the first op boundary at or past this
+            # cursor; one that would stop at or past its last gate is
+            # simply a complete run.
             stop_after = max(stop_after, start_cursor)
             if stop_after >= len(ordered):
                 stop_after = None
@@ -636,57 +632,48 @@ class QGpuSimulator:
         resolved = 1 if guard is not None else resolve_workers(requested, 1 << n)
         engine = ParallelChunkEngine(resolved, tracer) if resolved > 1 else None
 
-        # Fusion contracts gate runs into slabs before the sweep loop.  It
-        # is bypassed whenever per-gate semantics must stay exact: guarded
-        # runs (injection order is per original gate), checkpoint/resume
-        # (the cursor counts original gates), and stop_after partial runs.
-        fusion_mode = fusion if fusion is not None else self.fusion
-        use_fusion = (
-            fusion_mode == "on"
-            and guard is None
-            and checkpoint_every is None
-            and resume_from is None
-            and stop_after is None
-        )
-        if use_fusion:
-            from repro.statevector.fusion import GateSlab, fuse_slabs
-
-            with tracer.span("fuse", stage="fuse", gates=len(ordered)):
-                ops: list = fuse_slabs(list(ordered), chunk_bits=state.chunk_bits)
-            if tracer is not NULL_TRACER:
-                slabs = [op for op in ops if isinstance(op, GateSlab)]
-                if slabs:
-                    tracer.counters.count("fusion.slabs", len(slabs))
-                    tracer.counters.count(
-                        "fusion.gates_fused", sum(len(s.gates) for s in slabs)
-                    )
-                    if tracer.histograms:
-                        widths = tracer.counters.histogram("fused_slab_width")
-                        for slab in slabs:
-                            widths.observe(len(slab.qubits))
-        else:
-            ops = list(ordered)
+        with tracer.span("fuse", stage="fuse", gates=len(ordered)):
+            ops = fuse_slabs(list(ordered), chunk_bits=state.chunk_bits)
+        if tracer is not NULL_TRACER:
+            slabs = [op for op in ops if isinstance(op, GateSlab)]
+            if slabs:
+                tracer.counters.count("fusion.slabs", len(slabs))
+                tracer.counters.count(
+                    "fusion.gates_fused", sum(len(s.gates) for s in slabs)
+                )
+                if tracer.histograms:
+                    widths = tracer.counters.histogram("fused_slab_width")
+                    for slab in slabs:
+                        widths.observe(len(slab.qubits))
+        if start_cursor:
+            ops = _split_at(ops, start_cursor)
 
         tracker = InvolvementTracker(n)
         basis = BasisTracker(n) if self.version.basis_tracking_pruning else None
         total_updates = 0
         skipped_updates = 0
         interrupted_at: int | None = None
+        # Source index of the current op's first member gate: every cursor
+        # counts source gates and acts at the first op boundary at or past
+        # its value.
+        position = 0
 
         if cancel is not None:
             cancel.poll()
         try:
-            for index, gate in enumerate(ops):
-                if index == stop_after:
-                    interrupted_at = index
+            for op in ops:
+                if stop_after is not None and position >= stop_after:
+                    interrupted_at = position
                     break
                 if cancel is not None:
                     cancel.poll()
-                applying = index >= start_cursor
+                first = position
+                members = slab_members(op)
+                position += len(members)
                 # A slab stands for its member gates: trackers observe
                 # each member (slabs only move amplitude within a group,
                 # so pruning with the post-slab mask stays exact).
-                for member in slab_members(gate):
+                for member in members:
                     if basis is not None:
                         basis.observe(member)
                     tracker.involve(
@@ -702,11 +689,11 @@ class QGpuSimulator:
                     live = LiveSubcube.from_involvement(
                         n, state.chunk_bits, tracker.mask
                     )
-                outside = outside_mask(gate.qubits, state.chunk_bits)
+                outside = outside_mask(op.qubits, state.chunk_bits)
                 groups_total, groups_live = live.group_counts(outside)
                 total_updates += groups_total
                 skipped_updates += groups_total - groups_live
-                if not applying:
+                if first < start_cursor:
                     continue
                 if tracer.enabled and tracer.histograms:
                     tracer.counters.histogram("chunk_bytes").observe(
@@ -714,39 +701,41 @@ class QGpuSimulator:
                         * (AMP_BYTES << state.chunk_bits)
                     )
                 with tracer.span(
-                    f"apply:{gate.name}", stage="compute", gate=index, groups=groups_live
+                    f"apply:{op.name}", stage="compute", gate=first, groups=groups_live
                 ):
                     if guard is None:
-                        state.sweep(gate, live, engine, tracer)
+                        state.sweep(op, live, engine, tracer)
                     else:
-                        guard.begin_gate(index)
+                        guard.begin_gate(first)
                         relaxed = live.relaxed(outside)
                         groups = [
-                            members
-                            for members in chunk_pair_groups(
-                                n, state.chunk_bits, gate.qubits
+                            group
+                            for group in chunk_pair_groups(
+                                n, state.chunk_bits, op.qubits
                             )
-                            if members[0] in relaxed
+                            if group[0] in relaxed
                         ]
-                        self._apply_guarded(state, gate, groups, guard, tracer)
-                cursor = index + 1
-                if policy.norm_check_every and cursor % policy.norm_check_every == 0:
-                    with tracer.span("norm_check", stage="integrity", gate=index):
+                        self._apply_guarded(state, op, groups, guard, tracer)
+                every = policy.norm_check_every
+                if every and position // every > first // every:
+                    with tracer.span(
+                        "norm_check", stage="integrity", gate=position - 1
+                    ):
                         check_norm(
                             state.chunks,
                             policy.norm_tolerance,
-                            where=f"{circuit.name} after gate {index}",
+                            where=f"{circuit.name} after gate {position - 1}",
                         )
                 if (
                     checkpoint_every is not None
-                    and cursor % checkpoint_every == 0
-                    and cursor < len(ordered)
+                    and position // checkpoint_every > first // checkpoint_every
+                    and position < len(ordered)
                 ):
-                    with tracer.span("checkpoint", stage="checkpoint", cursor=cursor):
+                    with tracer.span("checkpoint", stage="checkpoint", cursor=position):
                         save_checkpoint(
                             checkpoint_path,
                             state,
-                            gate_cursor=cursor,
+                            gate_cursor=position,
                             involvement_mask=tracker.mask,
                             circuit_name=circuit.name,
                             version_name=self.version.name,
@@ -801,34 +790,35 @@ class QGpuSimulator:
     @staticmethod
     def _apply_guarded(
         state: ChunkedStateVector,
-        gate,
+        op,
         groups: list[tuple[int, ...]],
         guard: ChunkTransferGuard,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        """Apply ``gate`` group by group through the fault-injecting link.
+        """Apply ``op`` (a gate or slab) group by group through the
+        fault-injecting link.
 
         The one path that stays per-chunk: every chunk buffer crosses the
         simulated link twice (H2D before the update, D2H after), so
         injected transfer faults corrupt real data and recovery is
         exercised end-to-end, in a deterministic injection order.  Each
         direction becomes an ``h2d``/``d2h`` span nested in the caller's
-        gate span.  The update itself is the sweep kernel on the
-        transferred buffer, so a recovered run is bit-identical to an
-        unguarded one.
+        op span.  The update itself is the sweep kernel on the transferred
+        buffer, so a recovered run matches an unguarded one bit for bit
+        (a zero component may differ in sign: the GEMM shapes differ).
         """
-        outside = [q for q in gate.qubits if q >= state.chunk_bits]
+        outside = [q for q in op.qubits if q >= state.chunk_bits]
         if not outside:
             for (index,) in groups:
                 with tracer.span("h2d", stage="h2d", chunk=index):
                     on_device = guard.transfer(state.chunks[index], f"h2d chunk {index}")
-                sweep(on_device, gate)
+                sweep(on_device, op)
                 with tracer.span("d2h", stage="d2h", chunk=index):
                     state.chunks[index][...] = guard.transfer(
                         on_device, f"d2h chunk {index}"
                     )
             return
-        remapped = gather_remap(gate, state.chunk_bits)
+        remapped = gather_remap(op, state.chunk_bits)
         for members in groups:
             gathered = np.concatenate([state.chunks[m] for m in members])
             with tracer.span("h2d", stage="h2d", group=members[0]):

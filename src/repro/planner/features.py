@@ -94,7 +94,8 @@ class CircuitFeatures:
             pruning-aware amplitude-operation count.
         fused_sweeps: Number of state sweeps the functional engine's
             gate-fusion pass leaves after slabbing adjacent gates
-            (:func:`repro.statevector.fusion.fused_sweep_count`).  Equals
+            (the length of :func:`repro.statevector.fusion.fuse_slabs`'s
+            output).  Equals
             ``num_gates`` when nothing fuses; fusion-friendly circuits
             (diagonal runs, overlapping 1q/2q chains) come in well below.
         bond_estimate: Peak per-cut bond-growth proxy, capped at the
@@ -247,9 +248,9 @@ def analyze_circuit(
 
     # Imported lazily: the fusion pass lives in the statevector package,
     # which the planner otherwise never touches at analysis time.
-    from repro.statevector.fusion import fused_sweep_count
+    from repro.statevector.fusion import fuse_slabs
 
-    fused_sweeps = fused_sweep_count(list(circuit)) if num_gates else 0
+    fused_sweeps = len(fuse_slabs(list(circuit)))
 
     return CircuitFeatures(
         name=circuit.name,

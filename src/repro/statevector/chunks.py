@@ -32,18 +32,17 @@ import time
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER
-from repro.statevector.fusion import GateSlab, fuse_slabs, slab_members
+from repro.statevector.fusion import GateSlab
 from repro.statevector.kernels import (
     apply_diagonal_chunk,
     chunk_diagonal_factor,
     sweep,
 )
 from repro.statevector.measure import _sample_blocks
-from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
+from repro.statevector.parallel import ParallelChunkEngine
 from repro.statevector.subcube import LiveSubcube, outside_mask
 
 
@@ -267,86 +266,6 @@ class ChunkedStateVector:
             for position, index in enumerate(members):
                 start = position << self.chunk_bits
                 chunks[index][...] = gathered[start : start + self.chunk_size]
-        return self
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        *,
-        workers: int | str | None = 1,
-        pruning: bool = False,
-        tracer=None,
-        fusion: str = "on",
-    ) -> "ChunkedStateVector":
-        """Apply every gate of ``circuit`` in order.
-
-        Args:
-            circuit: Circuit matching this state's width.
-            workers: Chunk-worker threads; ``1`` (default) sweeps on the
-                calling thread, ``"auto"`` sizes a pool to the host, and
-                ``N > 1`` splits large sweeps over ``N`` threads.
-            pruning: Consult an
-                :class:`~repro.core.involvement.InvolvementTracker` along
-                the way (Algorithm 1's window) and skip chunk groups whose
-                member chunks are all provably zero.
-            tracer: Optional :class:`~repro.obs.Tracer`: per-gate compute
-                spans, kernel counters, and worker-lane spans via the
-                engine.
-            fusion: ``"on"`` (default) contracts consecutive gates into
-                slabs via :func:`~repro.statevector.fusion.fuse_slabs`
-                before execution (results agree with the unfused path to
-                ``atol <= 1e-12``); ``"off"`` applies gates one by one -
-                bit-identical to the pre-fusion engine.
-        """
-        if circuit.num_qubits != self.num_qubits:
-            raise SimulationError(
-                f"circuit width {circuit.num_qubits} != state width {self.num_qubits}"
-            )
-        if fusion not in ("on", "off"):
-            raise SimulationError(f"fusion must be 'on' or 'off', got {fusion!r}")
-        if tracer is None:
-            tracer = NULL_TRACER
-
-        tracker = None
-        if pruning:
-            # Imported lazily: repro.core's package __init__ pulls in the
-            # simulator, which imports this module.
-            from repro.core.involvement import InvolvementTracker
-
-            tracker = InvolvementTracker(self.num_qubits)
-
-        resolved = resolve_workers(workers, 1 << self.num_qubits)
-        engine = ParallelChunkEngine(resolved, tracer) if resolved > 1 else None
-        ops = (
-            fuse_slabs(list(circuit), chunk_bits=self.chunk_bits)
-            if fusion == "on"
-            else list(circuit)
-        )
-        try:
-            for position, gate in enumerate(ops):
-                live = None
-                if tracker is not None:
-                    # A slab only moves amplitude within its group (indices
-                    # differing on union-qubit bits), so involving every
-                    # member before pruning with the post-slab mask is exact.
-                    for member in slab_members(gate):
-                        tracker.involve(member)
-                    live = LiveSubcube.from_involvement(
-                        self.num_qubits, self.chunk_bits, tracker.mask
-                    )
-                with tracer.span(f"apply:{gate.name}", stage="compute", gate=position):
-                    total, updated = self.sweep(gate, live, engine, tracer)
-                if tracer is not NULL_TRACER:
-                    # Groups of 2^paired member chunks each.
-                    paired = outside_mask(gate.qubits, self.chunk_bits).bit_count()
-                    tracer.counters.count("chunks.updated", updated << paired)
-                    if tracker is not None:
-                        tracer.counters.count(
-                            "chunks.pruned", (total - updated) << paired
-                        )
-        finally:
-            if engine is not None:
-                engine.close()
         return self
 
     def chunk_is_zero(self, index: int, tolerance: float = 0.0) -> bool:

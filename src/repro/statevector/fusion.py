@@ -4,7 +4,7 @@ The kernel benchmarks show where the chunked engine still loses to the
 paper's recipe: every gate pays one full sweep over the state, so a run of
 ``k`` cheap gates costs ``k`` passes of memory traffic even though the
 arithmetic per amplitude is trivial.  Gate fusion — the standard fix in
-Qsim/Aer and the gate-fusion study the issue cites — contracts adjacent
+Qsim/Aer and the gate-fusion study (arXiv 2604.03816) — contracts adjacent
 gates into one *slab* that the dispatcher applies in a single tiled pass.
 
 Two slab kinds are produced by :func:`fuse_slabs`:
@@ -23,18 +23,20 @@ exposes ``name``/``qubits``/``num_qubits``/``is_diagonal``/``matrix()``/
 ``diagonal()``/``remapped()`` — so the serial chunk path, the parallel
 engine, and the pruning tracker consume slabs through the existing gate
 dispatch without modification.  Single-gate groups are emitted as the
-bare :class:`Gate`, which keeps ``fusion="off"``-style circuits (nothing
-fusible) byte-identical to the unfused path.
+bare :class:`Gate`, so a circuit with nothing fusible runs exactly as its
+gate list.  The dense engine runs this op stream in every run mode
+(guarded, checkpointed, resumed, partial); its cursors count source
+gates and act at op boundaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Union
 
 import numpy as np
 
-from repro.circuits.fusion import FusedBlock
+from repro.circuits.fusion import FusedBlock, fuse
 from repro.circuits.gates import Gate
 from repro.errors import SimulationError
 
@@ -174,12 +176,13 @@ def fuse_slabs(
 ) -> list[FusedGate]:
     """Group a gate stream into fusion slabs, preserving circuit order.
 
-    Two-level greedy pass: maximal runs of *consecutive* diagonal gates
-    (length >= 2 within the width caps) become diagonal slabs; everything
-    else flows through a dense fuser that contracts overlapping-qubit
-    neighbours up to ``max_width`` (a lone diagonal between dense gates
-    may join a dense slab).  Concatenating :func:`slab_members` over the
-    result reproduces the input stream exactly.
+    Two greedy steps: the stream splits into runs of *consecutive*
+    diagonal gates within the width caps, and each run of >= 2 becomes a
+    diagonal slab; the stretches between diagonal slabs (a lone diagonal
+    included) go through :func:`repro.circuits.fusion.fuse`, which
+    contracts overlapping-qubit neighbours up to ``max_width``.
+    Concatenating :func:`slab_members` over the result reproduces the
+    input stream exactly.
 
     Args:
         gates: Gate stream (a :class:`QuantumCircuit` iterates as one).
@@ -199,88 +202,56 @@ def fuse_slabs(
     if max_diagonal_width < 1:
         raise SimulationError("max_diagonal_width must be >= 1")
 
-    out: list[FusedGate] = []
-    dense: list[Gate] = []
-    dense_qubits: set[int] = set()
-    diag: list[Gate] = []
-    diag_qubits: set[int] = set()
-
-    def flush_dense() -> None:
-        nonlocal dense, dense_qubits
-        if len(dense) == 1:
-            out.append(dense[0])
-        elif dense:
-            out.append(
-                GateSlab(
-                    gates=tuple(dense),
-                    qubits=tuple(sorted(dense_qubits)),
-                    kind="dense",
-                )
-            )
-        dense = []
-        dense_qubits = set()
-
-    def push_dense(gate: Gate) -> None:
-        nonlocal dense, dense_qubits
-        union = dense_qubits | set(gate.qubits)
-        touches = bool(dense_qubits & set(gate.qubits)) or not dense
-        if touches and len(union) <= max_width:
-            dense.append(gate)
-            dense_qubits = union
-        else:
-            flush_dense()
-            dense = [gate]
-            dense_qubits = set(gate.qubits)
-
-    def flush_diag() -> None:
-        """Retire the pending diagonal run (slab if >= 2, else dense feed)."""
-        nonlocal diag, diag_qubits
-        run, diag, diag_qubits = diag, [], set()
-        if len(run) >= 2:
-            flush_dense()
-            out.append(
-                GateSlab(
-                    gates=tuple(run),
-                    qubits=tuple(sorted({q for g in run for q in g.qubits})),
-                    kind="diagonal",
-                )
-            )
-        elif run:
-            push_dense(run[0])
-
-    def diag_accepts(gate: Gate) -> bool:
-        union = diag_qubits | set(gate.qubits)
-        if len(union) > max_diagonal_width:
+    def fits(qubits: set[int]) -> bool:
+        if len(qubits) > max_diagonal_width:
             return False
-        if chunk_bits is not None:
-            outside = sum(1 for q in union if q >= chunk_bits)
-            if outside > MAX_DIAGONAL_OUTSIDE:
-                return False
-        return True
+        if chunk_bits is None:
+            return True
+        return sum(1 for q in qubits if q >= chunk_bits) <= MAX_DIAGONAL_OUTSIDE
 
-    for gate in gates:
-        if gate.is_diagonal:
-            if not diag_accepts(gate):
-                flush_diag()
-            diag.append(gate)
-            diag_qubits |= set(gate.qubits)
-        else:
-            flush_diag()
-            push_dense(gate)
-    flush_diag()
-    flush_dense()
+    out: list[FusedGate] = []
+    segment: list[Gate] = []
+    for run in _diagonal_runs(gates, fits):
+        if len(run) < 2:
+            segment.extend(run)
+            continue
+        out.extend(_dense_ops(segment, max_width))
+        segment = []
+        union = tuple(sorted({q for gate in run for q in gate.qubits}))
+        out.append(GateSlab(gates=tuple(run), qubits=union, kind="diagonal"))
+    out.extend(_dense_ops(segment, max_width))
     return out
 
 
-def fused_sweep_count(
-    gates: Sequence[Gate],
-    *,
-    max_width: int = MAX_FUSION_WIDTH,
-    max_diagonal_width: int = MAX_DIAGONAL_WIDTH,
-) -> int:
-    """Number of state sweeps after fusion (= ``len(fuse_slabs(...))``)."""
-    return len(
-        fuse_slabs(
-            gates, max_width=max_width, max_diagonal_width=max_diagonal_width
-        )
-    )
+def _diagonal_runs(
+    gates: Iterable[Gate], fits: Callable[[set[int]], bool]
+) -> Iterator[list[Gate]]:
+    """Maximal runs of consecutive diagonal gates whose qubit union
+    ``fits``; every non-diagonal gate is a run of its own."""
+    run: list[Gate] = []
+    qubits: set[int] = set()
+    for gate in gates:
+        if not gate.is_diagonal:
+            if run:
+                yield run
+            yield [gate]
+            run, qubits = [], set()
+            continue
+        union = qubits | set(gate.qubits)
+        if run and not fits(union):
+            yield run
+            run, union = [], set(gate.qubits)
+        run.append(gate)
+        qubits = union
+    if run:
+        yield run
+
+
+def _dense_ops(segment: list[Gate], max_width: int) -> list[FusedGate]:
+    """Greedy dense fusion of ``segment``; singleton blocks stay bare."""
+    return [
+        block.gates[0]
+        if len(block.gates) == 1
+        else GateSlab(gates=block.gates, qubits=block.qubits, kind="dense")
+        for block in fuse(segment, max_width)
+    ]

@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import FAMILIES, get_circuit
-from repro.circuits.fusion import apply_fused, fuse, fusion_factor
+from repro.circuits.fusion import fuse, fusion_factor
 from repro.errors import SimulationError
+from repro.statevector.apply import apply_matrix
 from repro.statevector.state import StateVector, simulate
+
+
+def apply_blocks(
+    state: np.ndarray, circuit: QuantumCircuit, max_fused_qubits: int
+) -> None:
+    """One ``apply_matrix`` pass per fused block, in place."""
+    for block in fuse(circuit, max_fused_qubits):
+        apply_matrix(state, block.matrix(), block.qubits)
 
 
 class TestFusionStructure:
@@ -62,7 +71,7 @@ class TestFusedSemantics:
     def test_fused_application_matches_dense(self, family: str) -> None:
         circuit = get_circuit(family, 8)
         state = StateVector(8)
-        apply_fused(state.amplitudes, circuit, max_fused_qubits=4)
+        apply_blocks(state.amplitudes, circuit, max_fused_qubits=4)
         np.testing.assert_allclose(
             state.amplitudes, simulate(circuit).amplitudes, atol=1e-9
         )
@@ -99,7 +108,7 @@ class TestFusedSemantics:
                     ["h", "t", "sx"][rng.integers(3)], int(rng.integers(5))
                 )
         state = StateVector(5)
-        apply_fused(state.amplitudes, circuit, max_fused_qubits=3)
+        apply_blocks(state.amplitudes, circuit, max_fused_qubits=3)
         np.testing.assert_allclose(
             state.amplitudes, simulate(circuit).amplitudes, atol=1e-10
         )

@@ -7,19 +7,23 @@ simulation, for every benchmark family and every version.
 
 from __future__ import annotations
 
+import hashlib
 import sys
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import FAMILIES, get_circuit
+from repro.core.reorder import reorder
 from repro.core.simulator import QGpuSimulator, circuit_family
 from repro.core.versions import ALL_VERSIONS, BASELINE, PRUNING, QGPU, REORDER
 from repro.errors import SimulationError
 from repro.hardware.specs import PAPER_MACHINE, V100_MACHINE
 from repro.planner import analyze_circuit, backend_cost
 from repro.stabilizer import is_clifford_circuit
+from repro.statevector.fusion import fuse_slabs, slab_members
 from repro.statevector.measure import sample_counts
 from repro.statevector.state import simulate
 
@@ -116,11 +120,48 @@ class TestReadout:
         assert result.sample_counts(32, seed=2) == result.state.sample_counts(32, seed=2)
 
 
-@pytest.mark.parametrize("fusion", ["on", "off"])
+#: sha256 over the per-run sha256 of ``run(circuit).amplitudes`` for widths
+#: 9-12, every version and both precisions, in that loop order - pinned
+#: from the engine before fusion covered every run mode, whose default
+#: runs already fused.
+DEFAULT_RUN_DIGESTS = {
+    "hchain": "f9320150333ccc70cef44f1765ddaebf612144939ac443426cd1e4d7280c2074",
+    "rqc": "5cf7a6ce92c77a9512fcce24a37a397bc6f814e2fd53c92afaf0d4605449080e",
+    "qaoa": "e42abfbd0bf20c4f72f22284a489ee7f6ea4f367508577c35144c49b89c7b7cd",
+    "gs": "99b7f4f918c067c38ee4369dafa34896573dda70c0946c002619817c60ae467c",
+    "hlf": "fab8418b180ad6b78f6c303c793915cc4a502c5a8eb50358d868cb6c2241d450",
+    "qft": "4b566005b6e24ad1c6ed65e0101cdbec65082e7a3dc197acd3fc1928d909d3d0",
+    "iqp": "7ccf424213ced2b3688ce9943443a19dcd53bd03d7d8ca6e1b37c8e1ecc6b337",
+    "qf": "e3a4a357d9438d0fc6cc1bb15de90212689678215b38578137cb67f798e16524",
+    "bv": "fd49231441828b86c5866f804a4c94db0ba66c898a6523801795dbb069309474",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_default_runs_are_unchanged_bit_for_bit(family: str) -> None:
+    digest = hashlib.sha256()
+    for width in range(9, 13):
+        circuit = get_circuit(family, width)
+        for version in ALL_VERSIONS:
+            for precision in ("double", "single"):
+                result = QGpuSimulator(version=version, precision=precision).run(circuit)
+                digest.update(hashlib.sha256(result.amplitudes.tobytes()).digest())
+    assert digest.hexdigest() == DEFAULT_RUN_DIGESTS[family]
+
+
+def op_ends(circuit: QuantumCircuit, version=QGPU) -> list[int]:
+    """The source cursors at the default run's op boundaries."""
+    chunk_bits = max(1, min(10, circuit.num_qubits - 2))
+    ops = fuse_slabs(
+        list(reorder(circuit, version.reorder_strategy)), chunk_bits=chunk_bits
+    )
+    return list(accumulate(len(slab_members(op)) for op in ops))
+
+
 @pytest.mark.parametrize("precision", ["double", "single"])
 class TestStopAfterEdges:
-    def test_zero_applies_nothing(self, precision: str, fusion: str) -> None:
-        sim = QGpuSimulator(precision=precision, fusion=fusion)
+    def test_zero_applies_nothing(self, precision: str) -> None:
+        sim = QGpuSimulator(precision=precision)
         result = sim.run(get_circuit("qft", 7), stop_after=0)
         assert result.interrupted_at == 0
         assert result.chunk_updates_total == 0
@@ -129,10 +170,10 @@ class TestStopAfterEdges:
 
     @pytest.mark.parametrize("beyond", [0, 3])
     def test_at_or_past_the_end_is_a_complete_run(
-        self, precision: str, fusion: str, beyond: int
+        self, precision: str, beyond: int
     ) -> None:
         circuit = get_circuit("qft", 7)
-        sim = QGpuSimulator(precision=precision, fusion=fusion)
+        sim = QGpuSimulator(precision=precision)
         complete = sim.run(circuit)
         result = sim.run(circuit, stop_after=len(circuit) + beyond)
         assert result.interrupted_at is None
@@ -142,18 +183,18 @@ class TestStopAfterEdges:
         assert result.norm_deviation == complete.norm_deviation
         assert (result.norm_deviation is not None) == (precision == "single")
 
-    def test_in_between_halts_in_front_of_that_gate(
-        self, precision: str, fusion: str
-    ) -> None:
+    def test_in_between_halts_at_the_first_op_boundary(self, precision: str) -> None:
         circuit = get_circuit("qft", 7)
-        sim = QGpuSimulator(precision=precision, fusion=fusion, version=BASELINE)
-        result = sim.run(circuit, stop_after=1)
-        assert result.interrupted_at == 1
-        prefix = QuantumCircuit(7, name=circuit.name)
-        prefix.append(circuit.gates[0])
-        np.testing.assert_array_equal(
-            result.amplitudes, sim.run(prefix, fusion="off").amplitudes
+        sim = QGpuSimulator(precision=precision, version=BASELINE)
+        ends = op_ends(circuit, BASELINE)
+        # A cursor inside the first slab halts at that slab's end.
+        start, boundary = next(
+            (start, end) for start, end in zip([0] + ends, ends) if end - start > 1
         )
+        result = sim.run(circuit, stop_after=start + 1)
+        assert result.interrupted_at == boundary
+        prefix = QuantumCircuit(7, name=circuit.name).extend(circuit.gates[:boundary])
+        np.testing.assert_array_equal(result.amplitudes, sim.run(prefix).amplitudes)
 
 
 def test_stop_after_behind_a_resumed_cursor_applies_nothing(tmp_path) -> None:
@@ -161,9 +202,13 @@ def test_stop_after_behind_a_resumed_cursor_applies_nothing(tmp_path) -> None:
     path = tmp_path / "run.qgck"
     sim = QGpuSimulator()
     killed = sim.run(circuit, checkpoint_every=3, checkpoint_path=path, stop_after=6)
-    assert killed.interrupted_at == 6
+    # The kill lands on the first op boundary at or past 6, and so does the
+    # checkpoint the op ending there wrote.
+    boundary = next(end for end in op_ends(circuit) if end >= 6)
+    assert killed.interrupted_at == boundary
     resumed = sim.run(circuit, resume_from=path, stop_after=2)
-    assert resumed.interrupted_at == 6
+    assert resumed.reliability.resumed_from_gate == boundary
+    assert resumed.interrupted_at == boundary
     np.testing.assert_array_equal(resumed.amplitudes, killed.amplitudes)
 
 

@@ -14,6 +14,14 @@ from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
 from repro.statevector.state import simulate
 
 
+def run_chunked(circuit: QuantumCircuit, chunk_bits: int) -> ChunkedStateVector:
+    """``circuit`` applied gate by gate to a fresh chunked state."""
+    state = ChunkedStateVector(circuit.num_qubits, chunk_bits)
+    for gate in circuit:
+        state.apply(gate)
+    return state
+
+
 class TestChunkPairGroups:
     def test_inside_gate_yields_singletons(self) -> None:
         groups = chunk_pair_groups(num_qubits=5, chunk_bits=3, gate_qubits=(0, 2))
@@ -50,7 +58,7 @@ class TestChunkedExecution:
     def test_chunked_equals_dense_for_every_family(self, family: str) -> None:
         circuit = get_circuit(family, 9)
         dense = simulate(circuit).amplitudes
-        chunked = ChunkedStateVector(9, 4).run(circuit).to_dense()
+        chunked = run_chunked(circuit, 4).to_dense()
         np.testing.assert_allclose(chunked, dense, atol=1e-12)
 
     @given(
@@ -73,13 +81,13 @@ class TestChunkedExecution:
             else:
                 circuit.rz(float(rng.uniform(-3, 3)), int(rng.integers(num_qubits)))
         dense = simulate(circuit).amplitudes
-        chunked = ChunkedStateVector(num_qubits, chunk_bits).run(circuit).to_dense()
+        chunked = run_chunked(circuit, chunk_bits).to_dense()
         np.testing.assert_allclose(chunked, dense, atol=1e-12)
 
     def test_three_qubit_gate_across_chunks(self) -> None:
         circuit = QuantumCircuit(6).h(0).h(4).h(5).ccx(4, 5, 1)
         dense = simulate(circuit).amplitudes
-        chunked = ChunkedStateVector(6, 2).run(circuit).to_dense()
+        chunked = run_chunked(circuit, 2).to_dense()
         np.testing.assert_allclose(chunked, dense, atol=1e-12)
 
 
@@ -108,7 +116,7 @@ class TestConversions:
 class TestChunkedSampling:
     def test_matches_dense_distribution(self) -> None:
         circuit = get_circuit("qaoa", 8)
-        chunked = ChunkedStateVector(8, 3).run(circuit)
+        chunked = run_chunked(circuit, 3)
         rng = np.random.default_rng(3)
         counts = chunked.sample(8000, rng)
         dense = np.abs(simulate(circuit).amplitudes) ** 2
@@ -119,12 +127,12 @@ class TestChunkedSampling:
 
     def test_basis_state_sampling(self) -> None:
         circuit = QuantumCircuit(6).x(1).x(5)
-        chunked = ChunkedStateVector(6, 2).run(circuit)
+        chunked = run_chunked(circuit, 2)
         assert chunked.sample(25) == {0b100010: 25}
 
     def test_zero_chunks_never_sampled(self) -> None:
         circuit = get_circuit("iqp", 8)
-        chunked = ChunkedStateVector(8, 3).run(circuit)
+        chunked = run_chunked(circuit, 3)
         dense = simulate(circuit).amplitudes
         support = set(np.nonzero(np.abs(dense) > 1e-12)[0])
         counts = chunked.sample(300, np.random.default_rng(1))
@@ -145,7 +153,3 @@ class TestValidation:
     def test_width_limit(self) -> None:
         with pytest.raises(SimulationError):
             ChunkedStateVector(27, 10)
-
-    def test_run_width_mismatch(self) -> None:
-        with pytest.raises(SimulationError, match="width"):
-            ChunkedStateVector(4, 2).run(QuantumCircuit(5).h(0))

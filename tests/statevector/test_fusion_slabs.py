@@ -1,29 +1,36 @@
 """Gate-fusion slabs: structure, numerics, and end-to-end agreement.
 
-Three layers of contract:
+Four layers of contract:
 
 * :func:`fuse_slabs` is a pure regrouping - concatenating the members of
   its output reproduces the input gate stream exactly, and every cap
   (dense width, diagonal width, outside-qubit bound) holds.
+* It emits exactly the ops of the single-pass fuser it replaced (kept
+  below as :func:`reference_fuse_slabs`), on random streams and on the
+  nine families.
 * A :class:`GateSlab`'s contracted matrix / combined diagonal is the
   mathematical product of its members, so applying the slab agrees with
   applying the gates one by one to 1e-12.
-* The simulator's ``fusion="on"`` default agrees with ``fusion="off"``
-  across every paper version and both precisions, and the bypass paths
-  (checkpointing) stay byte-identical to the per-gate run.
+* The simulator, which always runs the fused stream, agrees with the
+  reordered gates applied one by one across every paper version and both
+  precisions, and checkpointing leaves the result byte-identical.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
-from repro.circuits.library import get_circuit
+from repro.circuits.library import FAMILIES, get_circuit
+from repro.core.reorder import reorder
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import ALL_VERSIONS
+from repro.core.versions import ALL_VERSIONS, QGPU
 from repro.errors import SimulationError
+from repro.planner import analyze_circuit
 from repro.statevector.chunks import ChunkedStateVector
 from repro.statevector.fusion import (
     MAX_DIAGONAL_OUTSIDE,
@@ -31,10 +38,10 @@ from repro.statevector.fusion import (
     MAX_FUSION_WIDTH,
     GateSlab,
     fuse_slabs,
-    fused_sweep_count,
     slab_members,
 )
 from repro.statevector.state import StateVector
+from tests.strategies import circuits
 
 
 def _flatten(ops) -> list[Gate]:
@@ -153,10 +160,11 @@ class TestFuseSlabsStructure:
         assert ops[0].kind == "dense"
         assert len(ops[0].gates) == 3
 
-    def test_fused_sweep_count_matches_len(self):
-        gates = list(_mixed_circuit())
-        assert fused_sweep_count(gates) == len(fuse_slabs(gates))
-        assert fused_sweep_count(gates) < len(gates)
+    def test_planner_prices_one_sweep_per_op(self):
+        circuit = _mixed_circuit()
+        features = analyze_circuit(circuit)
+        assert features.fused_sweeps == len(fuse_slabs(list(circuit)))
+        assert features.fused_sweeps < len(circuit)
 
     @pytest.mark.parametrize("kwargs", [{"max_width": 0},
                                         {"max_diagonal_width": 0}])
@@ -268,6 +276,133 @@ class TestSlabNumerics:
         np.testing.assert_allclose(fused, state.amplitudes, atol=1e-12)
 
 
+def reference_fuse_slabs(
+    gates, *, max_width=MAX_FUSION_WIDTH, max_diagonal_width=MAX_DIAGONAL_WIDTH,
+    chunk_bits=None,
+):
+    """The single-pass fuser :func:`fuse_slabs` replaced, kept verbatim as
+    the reference its two-step rebuild must reproduce op for op."""
+    out = []
+    dense = []
+    dense_qubits = set()
+    diag = []
+    diag_qubits = set()
+
+    def flush_dense():
+        nonlocal dense, dense_qubits
+        if len(dense) == 1:
+            out.append(dense[0])
+        elif dense:
+            out.append(
+                GateSlab(
+                    gates=tuple(dense),
+                    qubits=tuple(sorted(dense_qubits)),
+                    kind="dense",
+                )
+            )
+        dense = []
+        dense_qubits = set()
+
+    def push_dense(gate):
+        nonlocal dense, dense_qubits
+        union = dense_qubits | set(gate.qubits)
+        touches = bool(dense_qubits & set(gate.qubits)) or not dense
+        if touches and len(union) <= max_width:
+            dense.append(gate)
+            dense_qubits = union
+        else:
+            flush_dense()
+            dense = [gate]
+            dense_qubits = set(gate.qubits)
+
+    def flush_diag():
+        nonlocal diag, diag_qubits
+        run, diag, diag_qubits = diag, [], set()
+        if len(run) >= 2:
+            flush_dense()
+            out.append(
+                GateSlab(
+                    gates=tuple(run),
+                    qubits=tuple(sorted({q for g in run for q in g.qubits})),
+                    kind="diagonal",
+                )
+            )
+        elif run:
+            push_dense(run[0])
+
+    def diag_accepts(gate):
+        union = diag_qubits | set(gate.qubits)
+        if len(union) > max_diagonal_width:
+            return False
+        if chunk_bits is not None:
+            outside = sum(1 for q in union if q >= chunk_bits)
+            if outside > MAX_DIAGONAL_OUTSIDE:
+                return False
+        return True
+
+    for gate in gates:
+        if gate.is_diagonal:
+            if not diag_accepts(gate):
+                flush_diag()
+            diag.append(gate)
+            diag_qubits |= set(gate.qubits)
+        else:
+            flush_diag()
+            push_dense(gate)
+    flush_diag()
+    flush_dense()
+    return out
+
+
+def assert_same_ops(ops, expected) -> None:
+    """Same op types, qubits, kinds and member *identity*, in order."""
+    assert len(ops) == len(expected)
+    for op, ref in zip(ops, expected):
+        assert type(op) is type(ref)
+        if isinstance(ref, GateSlab):
+            assert (op.kind, op.qubits) == (ref.kind, ref.qubits)
+            assert len(op.gates) == len(ref.gates)
+            assert all(a is b for a, b in zip(op.gates, ref.gates))
+        else:
+            assert op is ref
+
+
+class TestMatchesReferenceFuser:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        circuit=circuits(min_qubits=2, max_qubits=12, max_gates=60),
+        chunk_bits=st.none() | st.integers(1, 12),
+        max_width=st.integers(1, 5),
+        max_diagonal_width=st.integers(1, 9),
+    )
+    def test_random_streams(self, circuit, chunk_bits, max_width, max_diagonal_width):
+        gates = list(circuit)
+        caps = {"max_width": max_width, "max_diagonal_width": max_diagonal_width}
+        assert_same_ops(
+            fuse_slabs(gates, chunk_bits=chunk_bits, **caps),
+            reference_fuse_slabs(gates, chunk_bits=chunk_bits, **caps),
+        )
+
+    @pytest.mark.parametrize("chunk_bits", [None, 3, 6, 10])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_families(self, family, chunk_bits):
+        for width in (8, 13, 21, 34):
+            gates = list(reorder(get_circuit(family, width), QGPU.reorder_strategy))
+            assert_same_ops(
+                fuse_slabs(gates, chunk_bits=chunk_bits),
+                reference_fuse_slabs(gates, chunk_bits=chunk_bits),
+            )
+
+
+def unfused(circuit, version, chunk_bits, dtype=np.complex128) -> np.ndarray:
+    """The version's reordered gates applied one at a time: what fusion
+    must agree with."""
+    state = ChunkedStateVector(circuit.num_qubits, chunk_bits, dtype=dtype)
+    for gate in reorder(circuit, version.reorder_strategy):
+        state.apply(gate)
+    return state.to_dense()
+
+
 CIRCUITS = ("qft", "iqp", "qaoa", "bv")
 
 
@@ -277,11 +412,8 @@ class TestEndToEndAgreement:
     def test_fused_matches_unfused_all_versions(self, version, name):
         circuit = get_circuit(name, 8)
         fused = QGpuSimulator(version=version, chunk_bits=4).run(circuit)
-        plain = QGpuSimulator(version=version, chunk_bits=4, fusion="off").run(
-            circuit
-        )
         np.testing.assert_allclose(
-            fused.amplitudes, plain.amplitudes, atol=1e-12
+            fused.amplitudes, unfused(circuit, version, 4), atol=1e-12
         )
 
     @pytest.mark.parametrize("precision,atol", [("double", 1e-12),
@@ -291,61 +423,37 @@ class TestEndToEndAgreement:
         # tolerance is the precision's own, not fusion's.
         circuit = get_circuit("qft", 9)
         fused = QGpuSimulator(chunk_bits=5, precision=precision).run(circuit)
-        plain = QGpuSimulator(
-            chunk_bits=5, precision=precision, fusion="off"
-        ).run(circuit)
-        np.testing.assert_allclose(fused.amplitudes, plain.amplitudes,
-                                   atol=atol)
+        assert fused.precision == precision
+        np.testing.assert_allclose(
+            fused.amplitudes, unfused(circuit, QGPU, 5), atol=atol
+        )
 
     def test_fused_parallel_matches_unfused_serial(self):
         circuit = get_circuit("qaoa", 9)
         fused = QGpuSimulator(chunk_bits=5, workers=4).run(circuit)
-        plain = QGpuSimulator(chunk_bits=5, workers=1, fusion="off").run(
-            circuit
-        )
         np.testing.assert_allclose(
-            fused.amplitudes, plain.amplitudes, atol=1e-12
+            fused.amplitudes, unfused(circuit, QGPU, 5), atol=1e-12
         )
 
-    def test_checkpointed_run_bypasses_fusion_byte_identically(self, tmp_path):
-        # Any checkpointing knob forces the per-gate path even when
-        # fusion="on": cursor counting is defined on original gates.
+    def test_checkpointed_run_is_byte_identical_to_plain_run(self, tmp_path):
+        # Checkpointing runs the same fused op stream as a plain run.
         circuit = get_circuit("qft", 7)
-        plain = QGpuSimulator(fusion="off").run(circuit)
-        checked = QGpuSimulator(fusion="on").run(
+        plain = QGpuSimulator().run(circuit)
+        checked = QGpuSimulator().run(
             circuit, checkpoint_every=5,
             checkpoint_path=tmp_path / "ck.npz",
         )
+        assert checked.reliability.checkpoints_written > 0
         np.testing.assert_array_equal(
             plain.amplitudes.view(np.uint64),
             checked.amplitudes.view(np.uint64),
         )
 
-    def test_run_override_beats_constructor_fusion(self):
-        circuit = get_circuit("iqp", 7)
-        on_sim = QGpuSimulator(fusion="on")
-        off_sim = QGpuSimulator(fusion="off")
-        a = on_sim.run(circuit, fusion="off").amplitudes
-        b = off_sim.run(circuit).amplitudes
-        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
-
-    def test_engine_run_fusion_off_is_byte_identical_to_pre_fusion_path(self):
-        # fusion="off" must reproduce the per-gate engine bit for bit.
-        circuit = get_circuit("qft", 8)
-        off = ChunkedStateVector(8, 4).run(circuit, fusion="off")
-        manual = ChunkedStateVector(8, 4)
-        for gate in circuit:
-            manual.apply(gate)
-        np.testing.assert_array_equal(
-            off.to_dense().view(np.uint64), manual.to_dense().view(np.uint64)
-        )
-
-    @pytest.mark.parametrize("bad", ["maybe", "", "auto"])
-    def test_invalid_fusion_knob_rejected(self, bad):
-        with pytest.raises(SimulationError, match="fusion"):
-            QGpuSimulator(fusion=bad)
-        with pytest.raises(SimulationError, match="fusion"):
-            ChunkedStateVector(6, 3).run(QuantumCircuit(6), fusion=bad)
+    def test_fusion_has_no_switch(self):
+        with pytest.raises(TypeError, match="fusion"):
+            QGpuSimulator(fusion="off")
+        with pytest.raises(TypeError, match="fusion"):
+            QGpuSimulator().run(QuantumCircuit(6), fusion="off")
 
     def test_fusion_counters_and_stage_recorded(self):
         from repro.obs import LogicalClock, Tracer

@@ -8,9 +8,10 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import ALL_VERSIONS
+from repro.core.versions import ALL_VERSIONS, PRUNING
 from repro.errors import SimulationError
 from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
+from repro.statevector.fusion import fuse_slabs
 from repro.statevector.kernels import chunk_diagonal_factor
 from repro.statevector.parallel import (
     AUTO_PARALLEL_THRESHOLD,
@@ -44,6 +45,22 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int) -> QuantumCircuit
             a, b = rng.choice(num_qubits, size=2, replace=False)
             circuit.cz(int(a), int(b))
     return circuit
+
+
+def sweep_all(
+    circuit: QuantumCircuit, chunk_bits: int, workers: int = 1
+) -> ChunkedStateVector:
+    """``circuit``'s fused ops swept over a fresh state, serially or on a
+    pool of ``workers`` threads."""
+    state = ChunkedStateVector(circuit.num_qubits, chunk_bits)
+    engine = ParallelChunkEngine(workers) if workers > 1 else None
+    try:
+        for op in fuse_slabs(circuit, chunk_bits=chunk_bits):
+            state.sweep(op, engine=engine)
+    finally:
+        if engine is not None:
+            engine.close()
+    return state
 
 
 class TestChunkPairGroupsEdges:
@@ -121,8 +138,8 @@ class TestSerialParallelAgreement:
         circuit = random_circuit(num_qubits, 30, seed)
         dense = StateVector(num_qubits)
         dense.run(circuit)
-        serial = ChunkedStateVector(num_qubits, chunk_bits).run(circuit)
-        parallel = ChunkedStateVector(num_qubits, chunk_bits).run(circuit, workers=4)
+        serial = sweep_all(circuit, chunk_bits)
+        parallel = sweep_all(circuit, chunk_bits, workers=4)
         np.testing.assert_allclose(serial.to_dense(), dense.amplitudes, atol=1e-12)
         np.testing.assert_allclose(parallel.to_dense(), serial.to_dense(), atol=1e-12)
 
@@ -146,9 +163,10 @@ class TestSerialParallelAgreement:
 
     def test_pruning_aware_run_matches_unpruned(self):
         circuit = random_circuit(8, 20, seed=3)
-        plain = ChunkedStateVector(8, 4).run(circuit)
-        pruned = ChunkedStateVector(8, 4).run(circuit, workers=2, pruning=True)
-        np.testing.assert_allclose(pruned.to_dense(), plain.to_dense(), atol=1e-12)
+        plain = sweep_all(circuit, 4)
+        pruned = QGpuSimulator(version=PRUNING, chunk_bits=4, workers=2).run(circuit)
+        assert pruned.chunk_updates_skipped > 0
+        np.testing.assert_allclose(pruned.amplitudes, plain.to_dense(), atol=1e-12)
 
     def test_engine_handles_multi_qubit_cross_chunk_gate(self):
         # Both cx qubits above chunk_bits: the gathered fallback path.
@@ -157,8 +175,8 @@ class TestSerialParallelAgreement:
             circuit.h(q)
         circuit.cx(4, 5)
         circuit.cz(3, 5)
-        serial = ChunkedStateVector(6, 3).run(circuit)
-        parallel = ChunkedStateVector(6, 3).run(circuit, workers=3)
+        serial = sweep_all(circuit, 3)
+        parallel = sweep_all(circuit, 3, workers=3)
         np.testing.assert_allclose(parallel.to_dense(), serial.to_dense(), atol=1e-12)
 
     def test_engine_sweeps_only_the_live_groups(self, monkeypatch):

@@ -255,17 +255,13 @@ class TestSweepKernel:
         assert max(sizes) <= 2 << 6
 
 
-def _reference_run(circuit, version, fusion, dtype):
+def _reference_run(circuit, version, dtype):
     """The per-chunk engine: enumerate groups, test each chunk, and apply
     the survivors one group at a time (what ``_run`` did before the sweep)."""
     n = circuit.num_qubits
     chunk_bits = max(1, min(10, n - 2))
     ordered = reorder(circuit, version.reorder_strategy)
-    ops = (
-        fuse_slabs(list(ordered), chunk_bits=chunk_bits)
-        if fusion == "on"
-        else list(ordered)
-    )
+    ops = fuse_slabs(list(ordered), chunk_bits=chunk_bits)
     state = ChunkedStateVector(n, chunk_bits, dtype=dtype)
     tracker = InvolvementTracker(n)
     basis = BasisTracker(n) if version.basis_tracking_pruning else None
@@ -295,17 +291,15 @@ class TestSweepMatchesPerChunkReference:
     """(c) whole runs: the sweep engine vs the per-chunk reference."""
 
     @pytest.mark.parametrize("precision", ["double", "single"])
-    @pytest.mark.parametrize("fusion", ["on", "off"])
     @pytest.mark.parametrize("version", VERSIONS, ids=lambda v: v.name)
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_serial_run_is_bit_identical(self, family, version, fusion, precision):
+    def test_serial_run_is_bit_identical(self, family, version, precision):
         circuit = get_circuit(family, 9)
         dtype = np.complex128 if precision == "double" else np.complex64
-        expected, total, skipped = _reference_run(circuit, version, fusion, dtype)
+        expected, total, skipped = _reference_run(circuit, version, dtype)
         result = QGpuSimulator(
             version=version,
             workers=1,
-            fusion=fusion,
             precision=precision,
             single_norm_bound=1.0,  # never fall back: compare complex64 itself
         ).run(circuit)
@@ -371,16 +365,23 @@ class TestInterruptedRunsUseTheSweep:
     def test_checkpoint_stop_resume_is_bit_exact(self, family, tmp_path):
         circuit = get_circuit(family, 8)
         path = tmp_path / "run.qgck"
-        sim = QGpuSimulator(fusion="off")
+        sim = QGpuSimulator()
         uninterrupted = sim.run(circuit)
-        gates = self.sweeps
-        assert gates == len(circuit)
+        ops = fuse_slabs(
+            list(reorder(circuit, QGPU.reorder_strategy)),
+            chunk_bits=uninterrupted.state.chunk_bits,
+        )
+        sweeps = self.sweeps
+        assert sweeps == len(ops) < len(circuit)
+        boundaries = np.cumsum([len(slab_members(op)) for op in ops])
         kill_at = len(circuit) // 2
+        # The run halts at the first op boundary at or past kill_at.
+        halted_ops = int(np.searchsorted(boundaries, kill_at)) + 1
         halted = sim.run(
             circuit, checkpoint_every=3, checkpoint_path=path, stop_after=kill_at
         )
-        assert halted.interrupted_at == kill_at
-        assert self.sweeps == gates + kill_at
+        assert halted.interrupted_at == boundaries[halted_ops - 1] >= kill_at
+        assert self.sweeps == sweeps + halted_ops
         resumed = sim.run(circuit, resume_from=path)
         np.testing.assert_array_equal(
             resumed.amplitudes.view(np.uint64),
@@ -388,7 +389,7 @@ class TestInterruptedRunsUseTheSweep:
         )
         assert resumed.chunk_updates_skipped == uninterrupted.chunk_updates_skipped
         # Resume replays the prefix through the trackers without sweeping it.
-        assert self.sweeps < 2 * gates + kill_at
+        assert self.sweeps < 2 * sweeps + halted_ops
 
     def test_cancellation_stops_between_sweeps(self):
         circuit = get_circuit("qft", 8)
