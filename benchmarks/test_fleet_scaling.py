@@ -45,8 +45,9 @@ IDENTITY_CHUNK_BITS = 14
 IDENTITY_CAPACITY = 1 << 22
 IDENTITY_DEVICES = 4
 
-# Repo-root anchored like the other BENCH_* artifacts.
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
+# Written to the working directory, like the other BENCH_* artifacts
+# (`repro bench ledger append` ingests them from there); gitignored.
+RESULTS_PATH = Path("BENCH_fleet.json")
 
 
 def _update_results(fields: dict) -> None:

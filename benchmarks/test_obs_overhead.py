@@ -47,9 +47,9 @@ REPEATS = 3 if SMOKE else 7
 MAX_DISABLED_OVERHEAD = 0.03
 JITTER_ALLOWANCE_S = 2e-3
 
-# Repo-root anchored like the other BENCH_* artifacts (the ledger ingests
-# all four from the root), not cwd-relative.
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
+# Written to the working directory, like the other BENCH_* artifacts
+# (`repro bench ledger append` ingests them from there); gitignored.
+RESULTS_PATH = Path("BENCH_obs.json")
 
 
 def _best_of(run) -> float:

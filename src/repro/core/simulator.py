@@ -29,6 +29,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -52,15 +53,10 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.reliability.cancellation import CancellationToken
 from repro.reliability.checkpoint import load_checkpoint, save_checkpoint
 from repro.reliability.faults import FaultKind, FaultPlan
-from repro.reliability.integrity import ChunkTransferGuard, check_norm
+from repro.reliability.integrity import ChunkTransferGuard, check_norm, norm_deviation
 from repro.reliability.policy import DEFAULT_POLICY, RecoveryPolicy, ReliabilityReport
-from repro.statevector.chunks import (
-    ChunkedStateVector,
-    chunk_pair_groups,
-    gather_remap,
-)
+from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
 from repro.statevector.fusion import FusedGate, GateSlab, fuse_slabs, slab_members
-from repro.statevector.kernels import sweep
 from repro.statevector.measure import sample_counts
 from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
 from repro.statevector.subcube import LiveSubcube, outside_mask
@@ -89,7 +85,7 @@ class FunctionalResult:
         backend: Backend that produced the state.
         precision: Numeric precision the returned state was computed at
             (``"double"`` after a norm-guard fallback, even if single was
-            requested).
+            requested; a resumed run keeps its checkpoint's precision).
         norm_deviation: ``|1 - sum |amp|^2|`` measured after a
             single-precision dense run (None on double-only runs).
         precision_fallback: A single-precision run violated the norm
@@ -182,8 +178,7 @@ class QGpuSimulator:
             amplitudes and sizes a thread pool to the host above it;
             ``1`` forces serial everywhere; ``N > 1`` forces a pool of
             ``N``, which sweeps with enough live amplitudes are split
-            over.  Fault-guarded runs always execute serially (the
-            transfer guard is stateful), whatever this says.
+            over.
         tracer: Optional :class:`~repro.obs.Tracer`.  Every :meth:`run`
             becomes a nested span tree (run / reorder / per-gate apply /
             transfers / checkpoints) and run statistics land in the
@@ -196,7 +191,8 @@ class QGpuSimulator:
         precision: ``"double"`` (default, bit-exact complex128),
             ``"single"`` (the dense engine's complex64 fast path, guarded
             by a norm-deviation bound with deterministic complex128
-            fallback), or ``"auto"`` (planner decides).
+            fallback; it composes with every run mode), or ``"auto"``
+            (planner decides).
         max_bond: MPS bond cap for planned/forced MPS runs and the
             planner's pricing.
         single_norm_bound: Norm-deviation ceiling accepted from a
@@ -298,7 +294,8 @@ class QGpuSimulator:
                 pruning trackers but not re-applied, so the continued run
                 is bit-identical to an uninterrupted one.  A cursor inside
                 a slab resumes with that slab's remaining members as
-                single gates.
+                single gates.  The run continues at the precision the
+                checkpoint records.
             stop_after: Halt at the first op boundary at or past this many
                 source gates (simulates a crash for checkpoint testing;
                 the result's ``interrupted_at`` records that cursor).
@@ -395,27 +392,36 @@ class QGpuSimulator:
                 stop_after=stop_after,
                 cancel=cancel,
             )
-        if precision == "single":
-            return self._run_single(
-                circuit,
-                tracer,
-                checkpoint_every=checkpoint_every,
-                checkpoint_path=checkpoint_path,
-                resume_from=resume_from,
-                stop_after=stop_after,
-                workers=workers,
-                cancel=cancel,
-            )
-        return self._run(
+        from repro.planner import resolve_dtype
+
+        run = partial(
+            self._run,
             circuit,
             tracer,
             checkpoint_every=checkpoint_every,
             checkpoint_path=checkpoint_path,
-            resume_from=resume_from,
             stop_after=stop_after,
             workers=workers,
             cancel=cancel,
         )
+        result = run(resume_from=resume_from, dtype=resolve_dtype(precision))
+        if result.precision != "single" or result.interrupted_at is not None:
+            # A partial state is not norm-1; the guard covers completed
+            # complex64 runs only.
+            return result
+        deviation = norm_deviation(result.state.backing)
+        result.norm_deviation = deviation
+        if deviation <= self.single_norm_bound:
+            return result
+        # Rounding exceeded the bound: deterministic full re-run at double
+        # precision (no partial reuse - reproducibility beats salvaging a
+        # degraded state).
+        if tracer is not NULL_TRACER:
+            tracer.counters.count("planner.fallbacks")
+        retried = run(resume_from=None, dtype=np.complex128)
+        retried.precision_fallback = True
+        retried.norm_deviation = deviation
+        return retried
 
     def _run_nondense(
         self,
@@ -471,71 +477,6 @@ class QGpuSimulator:
             truncation_error=execution.truncation_error,
         )
 
-    def _run_single(
-        self,
-        circuit: QuantumCircuit,
-        tracer: Tracer,
-        *,
-        checkpoint_every: int | None,
-        checkpoint_path: str | Path | None,
-        resume_from: str | Path | None,
-        stop_after: int | None,
-        workers: int | str | None,
-        cancel: CancellationToken | None,
-    ) -> FunctionalResult:
-        """The complex64 fast path with the norm-guard double fallback."""
-        from repro.planner import norm_deviation
-
-        if checkpoint_every is not None or resume_from is not None:
-            raise SimulationError(
-                "single precision does not support checkpoint/resume "
-                "(checkpoints are complex128); use precision='double'"
-            )
-        if self.fault_plan is not None and self.fault_plan.active:
-            raise SimulationError(
-                "single precision does not support fault injection; "
-                "use precision='double'"
-            )
-        result = self._run(
-            circuit,
-            tracer,
-            checkpoint_every=None,
-            checkpoint_path=None,
-            resume_from=None,
-            stop_after=stop_after,
-            workers=workers,
-            cancel=cancel,
-            dtype=np.complex64,
-        )
-        result.precision = "single"
-        if result.interrupted_at is not None:
-            # A partial state is not norm-1; the guard only covers
-            # completed runs.
-            return result
-        deviation = norm_deviation(result.state.backing)
-        result.norm_deviation = deviation
-        if deviation <= self.single_norm_bound:
-            return result
-        # Rounding exceeded the bound: deterministic full re-run at
-        # double precision (no partial reuse - reproducibility beats
-        # salvaging a degraded state).
-        if tracer is not NULL_TRACER:
-            tracer.counters.count("planner.fallbacks")
-        retried = self._run(
-            circuit,
-            tracer,
-            checkpoint_every=None,
-            checkpoint_path=None,
-            resume_from=None,
-            stop_after=stop_after,
-            workers=workers,
-            cancel=cancel,
-        )
-        retried.precision = "double"
-        retried.precision_fallback = True
-        retried.norm_deviation = deviation
-        return retried
-
     def _run(
         self,
         circuit: QuantumCircuit,
@@ -546,9 +487,11 @@ class QGpuSimulator:
         resume_from: str | Path | None,
         stop_after: int | None,
         workers: int | str | None,
-        cancel: CancellationToken | None = None,
-        dtype=np.complex128,
+        cancel: CancellationToken | None,
+        dtype,
     ) -> FunctionalResult:
+        from repro.planner import precision_of
+
         n = circuit.num_qubits
         chunk_bits = self.chunk_bits if self.chunk_bits is not None else max(1, min(10, n - 2))
         if chunk_bits > n:
@@ -625,11 +568,8 @@ class QGpuSimulator:
                 tracer=tracer,
             )
 
-        # Guarded runs stay serial: the transfer guard mutates shared fault
-        # and CRC state per transfer, and injection order must be
-        # deterministic for recovery to be reproducible.
         requested = workers if workers is not None else self.workers
-        resolved = 1 if guard is not None else resolve_workers(requested, 1 << n)
+        resolved = resolve_workers(requested, 1 << n)
         engine = ParallelChunkEngine(resolved, tracer) if resolved > 1 else None
 
         with tracer.span("fuse", stage="fuse", gates=len(ordered)):
@@ -648,6 +588,11 @@ class QGpuSimulator:
         if start_cursor:
             ops = _split_at(ops, start_cursor)
 
+        # complex64 rounding alone moves the norm by up to the run's
+        # single-precision bound.
+        norm_tolerance = policy.norm_tolerance
+        if state.dtype == np.complex64:
+            norm_tolerance = max(norm_tolerance, self.single_norm_bound)
         tracker = InvolvementTracker(n)
         basis = BasisTracker(n) if self.version.basis_tracking_pruning else None
         total_updates = 0
@@ -703,9 +648,7 @@ class QGpuSimulator:
                 with tracer.span(
                     f"apply:{op.name}", stage="compute", gate=first, groups=groups_live
                 ):
-                    if guard is None:
-                        state.sweep(op, live, engine, tracer)
-                    else:
+                    if guard is not None:
                         guard.begin_gate(first)
                         relaxed = live.relaxed(outside)
                         groups = [
@@ -715,15 +658,18 @@ class QGpuSimulator:
                             )
                             if group[0] in relaxed
                         ]
-                        self._apply_guarded(state, op, groups, guard, tracer)
+                        guard.stream(state, groups, "h2d")
+                    state.sweep(op, live, engine, tracer)
+                    if guard is not None:
+                        guard.stream(state, groups, "d2h")
                 every = policy.norm_check_every
                 if every and position // every > first // every:
                     with tracer.span(
                         "norm_check", stage="integrity", gate=position - 1
                     ):
                         check_norm(
-                            state.chunks,
-                            policy.norm_tolerance,
+                            state.backing,
+                            norm_tolerance,
                             where=f"{circuit.name} after gate {position - 1}",
                         )
                 if (
@@ -761,6 +707,7 @@ class QGpuSimulator:
             chunk_updates_skipped=skipped_updates,
             reliability=report,
             interrupted_at=interrupted_at,
+            precision=precision_of(state.dtype),
         )
 
     def _allocate_state(
@@ -786,49 +733,6 @@ class QGpuSimulator:
             f"state allocation failed {policy.max_alloc_attempts} times "
             f"(last attempted chunk_bits={bits})"
         )
-
-    @staticmethod
-    def _apply_guarded(
-        state: ChunkedStateVector,
-        op,
-        groups: list[tuple[int, ...]],
-        guard: ChunkTransferGuard,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        """Apply ``op`` (a gate or slab) group by group through the
-        fault-injecting link.
-
-        The one path that stays per-chunk: every chunk buffer crosses the
-        simulated link twice (H2D before the update, D2H after), so
-        injected transfer faults corrupt real data and recovery is
-        exercised end-to-end, in a deterministic injection order.  Each
-        direction becomes an ``h2d``/``d2h`` span nested in the caller's
-        op span.  The update itself is the sweep kernel on the transferred
-        buffer, so a recovered run matches an unguarded one bit for bit
-        (a zero component may differ in sign: the GEMM shapes differ).
-        """
-        outside = [q for q in op.qubits if q >= state.chunk_bits]
-        if not outside:
-            for (index,) in groups:
-                with tracer.span("h2d", stage="h2d", chunk=index):
-                    on_device = guard.transfer(state.chunks[index], f"h2d chunk {index}")
-                sweep(on_device, op)
-                with tracer.span("d2h", stage="d2h", chunk=index):
-                    state.chunks[index][...] = guard.transfer(
-                        on_device, f"d2h chunk {index}"
-                    )
-            return
-        remapped = gather_remap(op, state.chunk_bits)
-        for members in groups:
-            gathered = np.concatenate([state.chunks[m] for m in members])
-            with tracer.span("h2d", stage="h2d", group=members[0]):
-                on_device = guard.transfer(gathered, f"h2d group {members[0]}")
-            sweep(on_device, remapped)
-            with tracer.span("d2h", stage="d2h", group=members[0]):
-                gathered = guard.transfer(on_device, f"d2h group {members[0]}")
-            for position, member in enumerate(members):
-                start = position << state.chunk_bits
-                state.chunks[member][...] = gathered[start : start + state.chunk_size]
 
     # -- timed ---------------------------------------------------------------
 

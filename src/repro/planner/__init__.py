@@ -34,10 +34,10 @@ from repro.planner.plan import (
 from repro.planner.precision import (
     DEFAULT_NORM_BOUND,
     PRECISION_DTYPES,
-    norm_deviation,
     precision_of,
     resolve_dtype,
 )
+from repro.reliability.integrity import norm_deviation
 
 __all__ = [
     "BACKENDS",

@@ -5,7 +5,8 @@ which is most of the runtime for the bandwidth-bound kernels - but
 single-precision rounding accumulates with circuit depth.  The guard is
 the same invariant the reliability layer already checks: a unitary
 circuit conserves the 2-norm, so after a single-precision run the
-deviation ``|1 - sum |amp|^2|`` (accumulated in float64) bounds how much
+deviation ``|1 - sum |amp|^2|`` (accumulated in float64 by
+:func:`repro.reliability.integrity.norm_deviation`) bounds how much
 rounding the run picked up.  If it exceeds the documented bound the
 simulator deterministically re-runs in complex128 - same circuit, same
 seed, no partial reuse - and counts ``planner.fallbacks``.
@@ -61,16 +62,3 @@ def precision_of(dtype: object) -> str:
     if kind == np.complex128:
         return "double"
     raise AnalysisError(f"unsupported state dtype {kind}")
-
-
-def norm_deviation(amplitudes: np.ndarray) -> float:
-    """``|1 - sum |amp|^2|`` with the accumulation done in float64.
-
-    Accumulating in the state's own precision would hide exactly the
-    rounding this guard exists to surface, so real and imaginary parts
-    are widened before squaring regardless of input dtype.
-    """
-    real = amplitudes.real.astype(np.float64, copy=False)
-    imag = amplitudes.imag.astype(np.float64, copy=False)
-    total = float(np.sum(real * real) + np.sum(imag * imag))
-    return abs(1.0 - total)

@@ -29,7 +29,7 @@ from repro.reliability.integrity import (
     ChunkTransferGuard,
     check_norm,
     chunk_crc32,
-    state_norm_squared,
+    norm_deviation,
     verify_chunk,
 )
 from repro.reliability.policy import (
@@ -55,7 +55,7 @@ __all__ = [
     "check_norm",
     "chunk_crc32",
     "load_checkpoint",
+    "norm_deviation",
     "save_checkpoint",
-    "state_norm_squared",
     "verify_chunk",
 ]

@@ -10,11 +10,16 @@ replayed tracker state against what the writer saw).
 Container layout (checkpoint format v2; v1 was a bare QGSV state file
 with no resume metadata)::
 
-    magic "QGCK" | uint8 version | uint8 reserved | uint32 num_qubits
+    magic "QGCK" | uint8 version | uint8 dtype | uint32 num_qubits
     uint32 chunk_bits | uint64 gate_cursor | uint64 involvement_mask
     uint16 circuit-name length | name bytes (UTF-8)
     uint16 version-name length | name bytes (UTF-8)
     uint32 CRC32 of everything above | embedded QGSV v2 state stream
+
+The dtype byte (reserved, always 0, in the first v2 writers) is the state's
+precision: 0 = complex128, 1 = complex64.  The QGSV stream always carries
+complex128; widening complex64 and narrowing it back on load is exact, so
+a single-precision run resumes bit for bit.
 
 Writes are atomic (temp file + ``os.replace``), so a crash during
 checkpointing can never destroy the previous good checkpoint.
@@ -29,6 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO
 
+import numpy as np
+
 from repro.errors import CheckpointError, ReproError
 from repro.statevector.chunks import ChunkedStateVector
 from repro.statevector.io import dump_state, load_state, read_exact
@@ -39,6 +46,8 @@ _NAME_LEN = struct.Struct("<H")
 _CRC_FIELD = struct.Struct("<I")
 #: Current checkpoint container version.
 CHECKPOINT_VERSION = 2
+#: Header dtype code -> state dtype (the index is the code).
+_DTYPES = (np.dtype(np.complex128), np.dtype(np.complex64))
 
 
 @dataclass
@@ -46,7 +55,8 @@ class Checkpoint:
     """One resumable snapshot of an in-flight functional run.
 
     Attributes:
-        state: Chunked state at the cursor, bit-exact.
+        state: Chunked state at the cursor, bit-exact and at its own
+            precision.
         gate_cursor: Number of (reordered) gates already applied.
         involvement_mask: Involvement bitmask at the cursor.
         circuit_name: Name of the circuit being executed.
@@ -78,7 +88,7 @@ def _encode_metadata(checkpoint: Checkpoint) -> bytes:
     blob = _FIXED.pack(
         _MAGIC,
         CHECKPOINT_VERSION,
-        0,
+        _DTYPES.index(checkpoint.state.dtype),
         checkpoint.num_qubits,
         checkpoint.chunk_bits,
         checkpoint.gate_cursor,
@@ -124,7 +134,7 @@ def _load_from(handle: BinaryIO, where: str) -> Checkpoint:
     fixed = read_exact(handle, _FIXED.size)
     if len(fixed) != _FIXED.size:
         raise CheckpointError(f"{where}: too short for checkpoint header")
-    magic, version, _, num_qubits, chunk_bits, cursor, mask = _FIXED.unpack(fixed)
+    magic, version, code, num_qubits, chunk_bits, cursor, mask = _FIXED.unpack(fixed)
     if magic != _MAGIC:
         raise CheckpointError(f"{where}: not a checkpoint file (magic {magic!r})")
     if version != CHECKPOINT_VERSION:
@@ -147,6 +157,8 @@ def _load_from(handle: BinaryIO, where: str) -> Checkpoint:
     (expected_crc,) = _CRC_FIELD.unpack(crc_raw)
     if zlib.crc32(bytes(metadata)) != expected_crc:
         raise CheckpointError(f"{where}: checkpoint metadata CRC32 mismatch")
+    if code >= len(_DTYPES):
+        raise CheckpointError(f"{where}: unknown checkpoint dtype code {code}")
 
     try:
         dense = load_state(handle)
@@ -156,9 +168,8 @@ def _load_from(handle: BinaryIO, where: str) -> Checkpoint:
         raise CheckpointError(
             f"{where}: state width {dense.num_qubits} != header width {num_qubits}"
         )
-    state = ChunkedStateVector.from_dense(dense.amplitudes, chunk_bits)
     return Checkpoint(
-        state=state,
+        state=ChunkedStateVector.from_dense(dense.amplitudes, chunk_bits, _DTYPES[code]),
         gate_cursor=cursor,
         involvement_mask=mask,
         circuit_name=names[0],

@@ -8,9 +8,11 @@ mirror what a production out-of-core runtime does:
   bytes at "send" and verify at "receive";
 * :func:`check_norm` - assert the global invariant ||psi||_2 ~= 1 that
   every unitary circuit preserves (a cheap end-to-end corruption tripwire
-  that works even when per-transfer CRC is off);
+  that works even when per-transfer CRC is off), measured by
+  :func:`norm_deviation`;
 * :class:`ChunkTransferGuard` - the send/link/receive simulation the
-  functional engine routes chunk buffers through, applying a
+  functional engine streams live chunk groups through around each op,
+  applying a
   :class:`~repro.reliability.faults.FaultPlan` on the link and a
   :class:`~repro.reliability.policy.RecoveryPolicy` on detection.
 """
@@ -43,30 +45,37 @@ def verify_chunk(array: np.ndarray, expected_crc: int, label: str = "chunk") -> 
         )
 
 
-def state_norm_squared(chunks_or_amplitudes) -> float:
-    """||psi||^2 of a dense vector or an iterable of chunk arrays."""
-    if isinstance(chunks_or_amplitudes, np.ndarray):
-        return float(np.sum(np.abs(chunks_or_amplitudes) ** 2))
-    return float(
-        sum(np.sum(np.abs(chunk) ** 2) for chunk in chunks_or_amplitudes)
-    )
+def norm_deviation(amplitudes: np.ndarray) -> float:
+    """``|1 - sum |amp|^2|`` with the accumulation done in float64.
+
+    Accumulating in the state's own precision would hide exactly the
+    rounding this guard exists to surface, so real and imaginary parts
+    are widened before squaring regardless of input dtype.
+    """
+    real = amplitudes.real.astype(np.float64, copy=False)
+    imag = amplitudes.imag.astype(np.float64, copy=False)
+    total = float(np.sum(real * real) + np.sum(imag * imag))
+    return abs(1.0 - total)
 
 
 def check_norm(
-    chunks_or_amplitudes, tolerance: float = 1e-6, where: str = "state"
+    amplitudes, tolerance: float = 1e-6, where: str = "state"
 ) -> float:
-    """Verify norm conservation; returns ||psi||^2 on success.
+    """Verify the norm of a dense vector or an iterable of chunk arrays;
+    returns its :func:`norm_deviation` on success.
 
     Raises:
         IntegrityError: When |1 - ||psi||^2| exceeds ``tolerance``.
     """
-    norm_sq = state_norm_squared(chunks_or_amplitudes)
-    if abs(1.0 - norm_sq) > tolerance:
+    if not isinstance(amplitudes, np.ndarray):
+        amplitudes = np.concatenate(list(amplitudes))
+    deviation = norm_deviation(amplitudes)
+    if deviation > tolerance:
         raise IntegrityError(
-            f"{where}: norm conservation violated (||psi||^2 = {norm_sq:.9f}, "
-            f"tolerance {tolerance:g})"
+            f"{where}: norm conservation violated (|1 - ||psi||^2| = "
+            f"{deviation:.3g}, tolerance {tolerance:g})"
         )
-    return norm_sq
+    return deviation
 
 
 def _corrupt(buffer: np.ndarray, event: FaultEvent) -> np.ndarray | None:
@@ -150,6 +159,27 @@ class ChunkTransferGuard:
         ):
             # Graceful degradation: stop compressing, stop failing to decode.
             self.report.compression_disabled_at_gate = self._gate_index
+
+    def stream(self, state, groups: list[tuple[int, ...]], direction: str) -> None:
+        """Carry each chunk group of ``state`` (a ``ChunkedStateVector``)
+        across the link one way: ``direction`` is ``"h2d"`` or ``"d2h"``.
+
+        A group crosses as one buffer (one :meth:`transfer`, one span), in
+        order, on the calling thread; the received buffer is written back
+        into the group's chunks, so a fault the guard lets through lands
+        in the state itself.
+        """
+        chunks = state.chunks
+        size = state.chunk_size
+        for members in groups:
+            where = "chunk" if len(members) == 1 else "group"
+            with self.tracer.span(direction, stage=direction, **{where: members[0]}):
+                received = self.transfer(
+                    np.concatenate([chunks[member] for member in members]),
+                    f"{direction} {where} {members[0]}",
+                )
+            for rank, member in enumerate(members):
+                chunks[member][...] = received[rank * size : (rank + 1) * size]
 
     def transfer(self, source: np.ndarray, label: str = "") -> np.ndarray:
         """Deliver ``source`` across the guarded link; returns the copy.

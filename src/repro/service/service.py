@@ -309,13 +309,10 @@ class BatchService:
                 f"unknown version {spec.version!r} "
                 f"(choose from {sorted(SERVICE_VERSIONS)})"
             )
-        if spec.fault_plan and (
-            spec.backend != "statevector" or spec.precision != "double"
-        ):
+        if spec.fault_plan and spec.backend != "statevector":
             raise ServiceError(
-                "fault injection requires backend='statevector' and "
-                "precision='double' (guards and checkpoints are "
-                "dense-double only)"
+                "fault injection requires backend='statevector' (the "
+                "transfer guards live in the dense engine)"
             )
         circuit = spec.build_circuit()
         version = SERVICE_VERSIONS[spec.version]

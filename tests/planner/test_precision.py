@@ -8,7 +8,6 @@ import pytest
 from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import ALL_VERSIONS
-from repro.errors import SimulationError
 from repro.obs import LogicalClock, Tracer
 from repro.planner import DEFAULT_NORM_BOUND, norm_deviation, resolve_dtype
 from repro.errors import AnalysisError
@@ -88,14 +87,21 @@ class TestFallback:
         )
         assert tracer.counters.get("planner.fallbacks") == 0
 
-    def test_single_rejects_checkpointing(self) -> None:
+    def test_single_checkpoint_resumes_bit_exactly(self, tmp_path) -> None:
+        circuit = get_circuit("qft", 8)
         simulator = QGpuSimulator(precision="single")
-        with pytest.raises(SimulationError):
-            simulator.run(
-                get_circuit("qft", 8),
-                checkpoint_every=4,
-                checkpoint_path="unused.ckpt",
-            )
+        uninterrupted = simulator.run(circuit)
+        path = tmp_path / "single.qgck"
+        killed = simulator.run(
+            circuit, checkpoint_every=4, checkpoint_path=path, stop_after=20
+        )
+        assert killed.reliability.checkpoints_written >= 1
+        # The checkpoint's precision wins over the resuming simulator's.
+        resumed = QGpuSimulator(precision="double").run(circuit, resume_from=path)
+        assert resumed.precision == "single"
+        assert resumed.amplitudes.dtype == np.complex64
+        assert resumed.norm_deviation == uninterrupted.norm_deviation
+        assert resumed.amplitudes.tobytes() == uninterrupted.amplitudes.tobytes()
 
 
 class TestAutoPrecision:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,7 @@ from repro.circuits.library import get_circuit
 from repro.errors import CheckpointError
 from repro.reliability import load_checkpoint, save_checkpoint
 from repro.statevector.chunks import ChunkedStateVector
+from repro.statevector.io import dump_state
 from repro.statevector.state import simulate
 
 
@@ -43,6 +48,54 @@ class TestRoundTrip:
         save_checkpoint(path, state, gate_cursor=2)  # atomically replaced
         assert load_checkpoint(path).gate_cursor == 2
         assert not (tmp_path / "run.qgck.tmp").exists()
+
+
+def hand_packed(amplitudes: np.ndarray, dtype_code: int) -> bytes:
+    """A QGCK v2 file built field by field, with ``dtype_code`` in the
+    byte after the version (reserved, and always 0, in early writers)."""
+    num_qubits = amplitudes.size.bit_length() - 1
+    metadata = struct.pack("<4sBBIIQQ", b"QGCK", 2, dtype_code, num_qubits, 5, 9, 0)
+    for name in (b"hand", b"Q-GPU"):
+        metadata += struct.pack("<H", len(name)) + name
+    stream = io.BytesIO()
+    dump_state(amplitudes, stream)
+    return metadata + struct.pack("<I", zlib.crc32(metadata)) + stream.getvalue()
+
+
+class TestDtypeCode:
+    @pytest.mark.parametrize(
+        "code, dtype", [(0, np.complex128), (1, np.complex64)]
+    )
+    def test_code_selects_the_state_dtype(self, tmp_path, state, code, dtype) -> None:
+        amplitudes = state.backing.astype(dtype).astype(np.complex128)
+        path = tmp_path / "hand.qgck"
+        path.write_bytes(hand_packed(amplitudes, code))
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.state.dtype == dtype
+        assert (checkpoint.gate_cursor, checkpoint.chunk_bits) == (9, 5)
+        assert checkpoint.circuit_name == "hand"
+        assert checkpoint.state.backing.tobytes() == amplitudes.astype(dtype).tobytes()
+
+    def test_unknown_code_is_rejected(self, tmp_path, state) -> None:
+        path = tmp_path / "hand.qgck"
+        path.write_bytes(hand_packed(state.backing, 2))
+        with pytest.raises(CheckpointError, match="dtype code 2"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "code, dtype", [(0, np.complex128), (1, np.complex64)]
+    )
+    def test_writer_matches_the_hand_packed_layout(
+        self, tmp_path, state, code, dtype
+    ) -> None:
+        narrowed = ChunkedStateVector.from_dense(state.backing, 5, dtype=dtype)
+        path = tmp_path / "run.qgck"
+        save_checkpoint(
+            path, narrowed, gate_cursor=9, circuit_name="hand", version_name="Q-GPU"
+        )
+        # The state stream is always complex128, whatever the dtype byte.
+        expected = hand_packed(narrowed.backing.astype(np.complex128), code)
+        assert path.read_bytes() == expected
 
 
 class TestErrors:

@@ -44,13 +44,20 @@ class TestNorm:
     def test_normalised_state_passes(self) -> None:
         state = np.zeros(16, dtype=np.complex128)
         state[0] = 1.0
-        assert check_norm(state) == pytest.approx(1.0)
+        assert check_norm(state) == 0.0  # the deviation |1 - ||psi||^2|
 
     def test_chunk_list_accepted(self) -> None:
         chunks = [np.full(4, 0.25 + 0j), np.full(4, 0.25 + 0j)]
         chunks[0] *= np.sqrt(1 / (8 * 0.0625))
         chunks[1] *= np.sqrt(1 / (8 * 0.0625))
         check_norm(chunks, tolerance=1e-9)
+
+    def test_complex64_is_accumulated_in_float64(self, rng) -> None:
+        amplitudes = rng.normal(size=1 << 16) + 1j * rng.normal(size=1 << 16)
+        state = (amplitudes / np.linalg.norm(amplitudes)).astype(np.complex64)
+        widened = state.astype(np.complex128)
+        expected = abs(1.0 - float(np.sum(widened.real**2 + widened.imag**2)))
+        assert check_norm(state) == pytest.approx(expected, abs=1e-13)
 
     def test_violation_raises(self) -> None:
         state = np.zeros(8, dtype=np.complex128)

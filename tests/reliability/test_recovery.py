@@ -47,12 +47,26 @@ class TestFaultedRunsAreBitExact:
         assert first.reliability.retries == second.reliability.retries
         np.testing.assert_array_equal(_bits(first), _bits(second))
 
-    def test_norm_guard_catches_unchecked_corruption(self) -> None:
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_norm_guard_catches_unchecked_corruption(self, precision) -> None:
         circuit = get_circuit("qft", 6)
         plan = FaultPlan(seed=5, transfer_rate=0.3)
         policy = RecoveryPolicy(verify_crc=False, norm_check_every=1)
         with pytest.raises(IntegrityError, match="norm conservation"):
-            QGpuSimulator(fault_plan=plan, reliability_policy=policy).run(circuit)
+            QGpuSimulator(
+                fault_plan=plan, reliability_policy=policy, precision=precision
+            ).run(circuit)
+
+    def test_norm_check_passes_a_healthy_single_precision_run(self) -> None:
+        # complex64 rounding moves rqc_16's norm by ~1e-6, past the double
+        # tolerance: the check accumulates in float64 and judges a
+        # complex64 state against the run's single-precision bound.
+        policy = RecoveryPolicy(norm_check_every=1)
+        result = QGpuSimulator(precision="single", reliability_policy=policy).run(
+            get_circuit("rqc", 16)
+        )
+        assert result.precision == "single"
+        assert not result.precision_fallback
 
     def test_oom_degradation_halves_chunks_and_stays_exact(self) -> None:
         circuit = get_circuit("bv", 8)

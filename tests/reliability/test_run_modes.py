@@ -2,11 +2,13 @@
 
 Guarded, checkpointed, killed, resumed and plain runs all sweep the ops of
 :func:`repro.statevector.fusion.fuse_slabs`; their cursors count *source*
-gates and act at the first op boundary at or past their value.  Generated
-circuits over the whole gate set check that the modes agree with the
-plain run bit for bit (guarded runs up to the sign of a zero), the nine
-families check guarded runs exactly, and two fixed cases pin the cadence
-of the norm check and the anchoring of injected faults.
+gates and act at the first op boundary at or past their value.  A guarded
+run streams each op's live chunk groups through the transfer guard before
+and after the same sweep a plain run makes.  Generated circuits over the
+whole gate set check that the modes agree with the plain run bit for bit
+at both precisions, the nine families check guarded runs at every chunk
+size, and fixed cases pin the cadence of the norm check, the anchoring of
+injected faults, the worker pool and the kernel counters of guarded runs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from repro.obs import Tracer
 from repro.reliability import FaultPlan, RecoveryPolicy
 from repro.reliability.checkpoint import save_checkpoint
 from repro.reliability.faults import FaultEvent, FaultKind
+from repro.statevector import parallel
 from repro.statevector.chunks import ChunkedStateVector
 from repro.statevector.fusion import GateSlab, fuse_slabs, slab_members
 from tests.strategies import circuits
@@ -39,15 +42,21 @@ RUN_MODES = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 VERSIONS = st.sampled_from(ALL_VERSIONS)
+PRECISIONS = st.sampled_from(["double", "single"])
+#: A guarded run with enough faults to exercise every recovery path.
+FAULTS = dict(
+    fault_plan=FaultPlan(seed=3, transfer_rate=0.25, codec_rate=0.05),
+    reliability_policy=RecoveryPolicy(max_transfer_attempts=10),
+)
 
 
 @st.composite
 def cases(draw, min_gates: int = 1):
-    """A random circuit with a chunk size in ``[4, n]``."""
+    """A random circuit with a chunk size in ``[1, n]``."""
     circuit = draw(
         circuits(min_qubits=6, max_qubits=10, min_gates=min_gates, max_gates=40)
     )
-    chunk_bits = draw(st.integers(4, circuit.num_qubits))
+    chunk_bits = draw(st.integers(1, circuit.num_qubits))
     return circuit, chunk_bits
 
 
@@ -63,48 +72,49 @@ def op_ends(ops) -> list[int]:
 
 
 def bits(result) -> np.ndarray:
-    return result.amplitudes.view(np.uint64)
-
-
-def bits_up_to_zero_sign(result) -> np.ndarray:
-    """Bit patterns with every ``-0.0`` component read as ``+0.0``.
-
-    The fault-guarded path applies an op to one chunk or gathered group at
-    a time, the plain path to the whole live view.  Their GEMMs have
-    different shapes, and a zero result may come out with either sign (the
-    unfused engine did the same).  Every other bit agrees.
-    """
-    parts = result.amplitudes.view(np.float64)
-    return np.where(parts == 0.0, 0.0, parts).view(np.uint64)
+    """The raw bytes of the final amplitudes, at either precision."""
+    return result.amplitudes.view(np.uint8)
 
 
 class TestGeneratedRunModes:
     @RUN_MODES
-    @given(case=cases(), version=VERSIONS, seed=st.integers(0, 2**32 - 1))
-    def test_guarded_run_equals_plain_run(self, case, version, seed):
+    @given(
+        case=cases(),
+        version=VERSIONS,
+        precision=PRECISIONS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_guarded_run_equals_plain_run(self, case, version, precision, seed):
         circuit, chunk_bits = case
-        plain = QGpuSimulator(version=version, chunk_bits=chunk_bits).run(circuit)
+        plain = QGpuSimulator(
+            version=version, chunk_bits=chunk_bits, precision=precision
+        ).run(circuit)
         guarded = QGpuSimulator(
             version=version,
             chunk_bits=chunk_bits,
+            precision=precision,
             fault_plan=FaultPlan(seed=seed, transfer_rate=0.05, codec_rate=0.02),
             reliability_policy=RecoveryPolicy(max_transfer_attempts=8),
         ).run(circuit)
-        np.testing.assert_array_equal(
-            bits_up_to_zero_sign(guarded), bits_up_to_zero_sign(plain)
-        )
+        assert guarded.precision == plain.precision
+        np.testing.assert_array_equal(bits(guarded), bits(plain))
         assert guarded.chunk_updates_skipped == plain.chunk_updates_skipped
 
     @RUN_MODES
     @given(
         case=cases(min_gates=8),
         version=VERSIONS,
+        precision=PRECISIONS,
         every=st.integers(1, 7),
         data=st.data(),
     )
-    def test_kill_and_resume_equals_uninterrupted(self, case, version, every, data):
+    def test_kill_and_resume_equals_uninterrupted(
+        self, case, version, precision, every, data
+    ):
         circuit, chunk_bits = case
-        sim = QGpuSimulator(version=version, chunk_bits=chunk_bits)
+        sim = QGpuSimulator(
+            version=version, chunk_bits=chunk_bits, precision=precision
+        )
         uninterrupted = sim.run(circuit)
         stop_after = data.draw(st.integers(every, len(circuit)), label="stop_after")
         with tempfile.TemporaryDirectory() as scratch:
@@ -119,6 +129,7 @@ class TestGeneratedRunModes:
             fused_ops(circuit, version, chunk_bits)
         )
         assert killed.reliability.checkpoints_written >= 1
+        assert resumed.precision == uninterrupted.precision
         np.testing.assert_array_equal(bits(resumed), bits(uninterrupted))
         assert resumed.chunk_updates_total == uninterrupted.chunk_updates_total
         assert resumed.chunk_updates_skipped == uninterrupted.chunk_updates_skipped
@@ -178,20 +189,53 @@ class TestGeneratedRunModes:
         )
 
 
-@pytest.mark.parametrize("chunk_bits", [4, 5, 6])
+@pytest.mark.parametrize("chunk_bits", range(1, 10))
 @pytest.mark.parametrize("version", ALL_VERSIONS, ids=lambda v: v.name)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_guarded_run_is_bit_identical_on_the_families(family, version, chunk_bits):
     circuit = get_circuit(family, 9)
     plain = QGpuSimulator(version=version, chunk_bits=chunk_bits).run(circuit)
-    guarded = QGpuSimulator(
-        version=version,
-        chunk_bits=chunk_bits,
-        fault_plan=FaultPlan(seed=3, transfer_rate=0.25, codec_rate=0.05),
-        reliability_policy=RecoveryPolicy(max_transfer_attempts=10),
-    ).run(circuit)
+    guarded = QGpuSimulator(version=version, chunk_bits=chunk_bits, **FAULTS).run(
+        circuit
+    )
     assert guarded.reliability.total_faults > 0
     np.testing.assert_array_equal(bits(guarded), bits(plain))
+
+
+class TestGuardedRunsShareThePlainSweep:
+    def test_guarded_run_on_a_worker_pool_equals_the_plain_pool_run(
+        self, monkeypatch
+    ):
+        # Lower the floor so 9-qubit sweeps fan out to the pool.
+        monkeypatch.setattr(parallel, "AUTO_PARALLEL_THRESHOLD", 1 << 6)
+        circuit = get_circuit("qaoa", 9)
+        plain = QGpuSimulator(chunk_bits=3, workers=2).run(circuit)
+        tracer = Tracer()
+        guarded = QGpuSimulator(chunk_bits=3, workers=2, tracer=tracer, **FAULTS).run(
+            circuit
+        )
+        assert guarded.reliability.total_faults > 0
+        assert tracer.counters.get("pool.tasks") > 0
+        np.testing.assert_array_equal(bits(guarded), bits(plain))
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_traced_guarded_run_records_the_plain_kernel_counters(self, precision):
+        circuit = get_circuit("qft", 9)
+
+        def kernel_counters(**options):
+            tracer = Tracer()
+            QGpuSimulator(
+                chunk_bits=4, precision=precision, tracer=tracer, **options
+            ).run(circuit)
+            return {
+                name: value
+                for name, value in tracer.counters.snapshot().items()
+                if name.startswith(("kernels.", "kernel_amps."))
+            }
+
+        plain = kernel_counters()
+        assert plain  # the sweep books its work
+        assert kernel_counters(**FAULTS) == plain
 
 
 class TestCursorAnchors:

@@ -164,18 +164,29 @@ class TestExecuteJob:
 
 
 class TestServiceSubmission:
-    def test_fault_plan_requires_the_default_path(self) -> None:
+    def test_fault_plan_requires_the_statevector_backend(self) -> None:
         service = BatchService(machine=P100, workers=1)
         with pytest.raises(ServiceError, match="fault"):
             service.submit(JobSpec(
                 family="bv", qubits=8, fault_plan="seed=7,transfer=0.05",
                 backend="auto",
             ))
-        with pytest.raises(ServiceError, match="fault"):
-            service.submit(JobSpec(
-                family="bv", qubits=8, fault_plan="seed=7,transfer=0.05",
-                precision="single",
-            ))
+
+    def test_single_precision_fault_job_matches_the_fault_free_job(self) -> None:
+        service = BatchService(machine=P100, workers=1)
+        faulted = service.submit(JobSpec(
+            family="qft", qubits=8, shots=8, fault_plan="seed=7,transfer=0.05",
+            precision="single",
+        ))
+        clean = service.submit(JobSpec(
+            family="qft", qubits=8, shots=8, precision="single",
+        ))
+        snapshot = service.run_until_complete()
+        assert snapshot["counters"]["jobs_succeeded"] == 2
+        assert faulted.result.precision == "single"
+        assert faulted.result.faults > 0
+        assert faulted.result.state_sha256 == clean.result.state_sha256
+        assert faulted.result.counts == clean.result.counts
 
     def test_planner_jobs_run_and_count_selection(self) -> None:
         service = BatchService(machine=P100, workers=1)
