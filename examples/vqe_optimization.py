@@ -14,7 +14,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.statevector import Observable, simulate
+from repro.statevector import simulate
+from repro.statevector.expectation import Observable, apply_pauli
 
 NUM_QUBITS = 6
 LAYERS = 2
@@ -49,8 +50,6 @@ def ansatz(parameters: np.ndarray) -> QuantumCircuit:
 
 def exact_ground_energy(observable: Observable) -> float:
     """Diagonalise H exactly for the reference (6 qubits: 64x64)."""
-    from repro.statevector.expectation import apply_pauli
-
     dim = 1 << NUM_QUBITS
     hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
     basis = np.eye(dim, dtype=np.complex128)

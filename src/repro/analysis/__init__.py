@@ -3,7 +3,7 @@
 from repro.analysis.amplitudes import AmplitudeSnapshot, amplitude_snapshots
 from repro.analysis.breakdown import Breakdown, average_breakdown, breakdown
 from repro.analysis.roofline import RooflinePoint, roofline_ceiling, roofline_point
-from repro.analysis.tables import format_normalized, format_table
+from repro.analysis.tables import format_table
 
 __all__ = [
     "AmplitudeSnapshot",
@@ -12,7 +12,6 @@ __all__ = [
     "amplitude_snapshots",
     "average_breakdown",
     "breakdown",
-    "format_normalized",
     "format_table",
     "roofline_ceiling",
     "roofline_point",

@@ -47,7 +47,3 @@ def format_table(
     out.extend(line(row) for row in text_rows)
     return "\n".join(out)
 
-
-def format_normalized(value: float) -> str:
-    """Render a baseline-normalized time, e.g. ``0.281x``."""
-    return f"{value:.3f}x"

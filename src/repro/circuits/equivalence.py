@@ -1,7 +1,8 @@
 """Circuit equivalence checking.
 
-Used throughout the test suite and by the transpiler passes to certify that
-transformations preserve a circuit's action.  Two checks are offered:
+A test oracle: the test suite uses it to certify that transformations
+(transpiler passes, reordering) preserve a circuit's action, and no front
+door imports it.  Two checks are offered:
 
 * :func:`states_equivalent` - compare final states from ``|0...0>`` (fast;
   sufficient for simulator workloads, which always start there),

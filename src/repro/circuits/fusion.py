@@ -6,7 +6,7 @@ into one ``2^k x 2^k`` matrix and applied in a single pass over the state,
 cutting memory traffic by the fusion factor.  QISKit-Aer ships the same
 optimization (enabled by default in both the paper's baseline and Q-GPU, so
 it cancels out of the normalized comparisons); here it feeds the Qsim-Cirq
-cost model and the fusion ablation bench.
+cost model.
 
 The pass is greedy and structural; :meth:`FusedBlock.matrix` additionally
 forms the fused unitary (what a real fusion pass uploads to the GPU).  The
@@ -21,7 +21,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.errors import SimulationError
 
@@ -119,10 +118,3 @@ def fuse(circuit: Iterable[Gate], max_fused_qubits: int = 4) -> list[FusedBlock]
     flush()
     return blocks
 
-
-def fusion_factor(circuit: QuantumCircuit, max_fused_qubits: int = 4) -> float:
-    """Gates per fused pass: ``len(circuit) / len(fuse(circuit))``."""
-    blocks = fuse(circuit, max_fused_qubits)
-    if not blocks:
-        return 1.0
-    return len(circuit) / len(blocks)

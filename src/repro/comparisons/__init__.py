@@ -1,6 +1,6 @@
 """Cost models of the comparator simulators (CPU-OpenMP, Qsim-Cirq, QDK)."""
 
-from repro.circuits.fusion import FusedBlock, fuse, fusion_factor
+from repro.circuits.fusion import FusedBlock, fuse
 from repro.comparisons.models import (
     QDK_SUPPORTED_FAMILIES,
     QSIM_SUPPORTED_FAMILIES,
@@ -17,5 +17,4 @@ __all__ = [
     "estimate_qdk",
     "estimate_qsim_cirq",
     "fuse",
-    "fusion_factor",
 ]

@@ -1,11 +1,6 @@
 """GFC lossless amplitude compression and compressibility analysis."""
 
-from repro.compression.gfc import (
-    compress,
-    compression_ratio,
-    decompress,
-    verify_stream,
-)
+from repro.compression.gfc import compress, compression_ratio, decompress
 from repro.compression.profile import (
     CompressionProfile,
     family_ratio,
@@ -15,7 +10,6 @@ from repro.compression.profile import (
 from repro.compression.residual import (
     ResidualStats,
     consecutive_residuals,
-    residual_histogram,
     residual_stats,
 )
 
@@ -29,7 +23,5 @@ __all__ = [
     "family_ratio",
     "get_profile",
     "measure_profile",
-    "residual_histogram",
     "residual_stats",
-    "verify_stream",
 ]

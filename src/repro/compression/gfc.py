@@ -187,49 +187,6 @@ def decompress(stream: bytes) -> np.ndarray:
     return words.astype("<u8").view(np.float64)
 
 
-def verify_stream(stream: bytes) -> tuple[int, int]:
-    """Cheap structural validation of a GFC stream without decoding it.
-
-    Walks the header and every segment header, checking that the declared
-    lengths are internally consistent and the stream is exactly consumed.
-    Used by integrity guards (checkpoint loading, transfer receive) to
-    fail fast on truncated or garbled payloads before paying for a full
-    decode.
-
-    Returns:
-        ``(word_count, num_segments)`` from the stream header.
-
-    Raises:
-        CompressionError: Any structural inconsistency.
-    """
-    buffer = memoryview(stream)
-    if len(buffer) < _HEADER.size:
-        raise CompressionError("stream too short for header")
-    magic, word_count, num_segments = _HEADER.unpack_from(buffer, 0)
-    if magic != MAGIC:
-        raise CompressionError(f"bad magic {magic!r}")
-    offset = _HEADER.size
-    total_words = 0
-    for _ in range(num_segments):
-        if offset + _SEGMENT_HEADER.size > len(buffer):
-            raise CompressionError("truncated segment header")
-        segment_words, payload_bytes = _SEGMENT_HEADER.unpack_from(buffer, offset)
-        offset += _SEGMENT_HEADER.size
-        padded_words = -(-segment_words // MICRO_CHUNK) * MICRO_CHUNK
-        nibble_bytes = -(-padded_words // 2)
-        if offset + nibble_bytes + payload_bytes > len(buffer):
-            raise CompressionError("truncated segment body")
-        offset += nibble_bytes + payload_bytes
-        total_words += segment_words
-    if offset != len(buffer):
-        raise CompressionError("trailing bytes after final segment")
-    if total_words != word_count:
-        raise CompressionError(
-            f"stream promised {word_count} words, segments hold {total_words}"
-        )
-    return word_count, num_segments
-
-
 def compression_ratio(data: np.ndarray, num_segments: int = 1) -> float:
     """``compressed bytes / uncompressed bytes`` for ``data`` (header-free).
 

@@ -65,16 +65,3 @@ def residual_stats(amplitudes: np.ndarray, tolerance: float = 1e-6) -> ResidualS
         tolerance=tolerance,
     )
 
-
-def residual_histogram(
-    amplitudes: np.ndarray, bins: int = 64, value_range: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram of signed residuals, for rendering Fig. 10-style plots.
-
-    Returns ``(counts, bin_edges)`` like :func:`numpy.histogram`.
-    """
-    residuals = consecutive_residuals(amplitudes)
-    if value_range is None:
-        spread = float(np.max(np.abs(residuals))) if residuals.size else 1.0
-        value_range = spread or 1.0
-    return np.histogram(residuals, bins=bins, range=(-value_range, value_range))

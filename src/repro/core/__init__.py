@@ -4,7 +4,6 @@ from repro.core.basis_tracking import BasisTracker, QubitState
 from repro.core.detailed import DetailedExecutor, DetailedRun
 from repro.core.executor import (
     DEFAULT_CHUNK_BITS,
-    FusedOp,
     GateTiming,
     TimedExecutor,
     TimedResult,
@@ -47,7 +46,6 @@ __all__ = [
     "DetailedRun",
     "ExecutionPlan",
     "FunctionalResult",
-    "FusedOp",
     "PlanEntry",
     "plan_execution",
     "GateTiming",

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.fusion import fuse
 from repro.core.basis_tracking import BasisTracker
 from repro.core.involvement import InvolvementTracker
 from repro.core.reorder import reorder
@@ -60,34 +59,6 @@ REACTIVE_STAGING_FACTOR = 2.0
 #: Host-side synchronisation per reactively exchanged chunk (stream sync +
 #: dispatcher bookkeeping), part of Fig. 2's "exchange and synchronisation".
 REACTIVE_SYNC_SECONDS = 0.5e-3
-
-
-@dataclass(frozen=True)
-class FusedOp:
-    """A fused multi-gate pass, duck-typed like a gate for the executor.
-
-    QISKit-Aer's default gate fusion (enabled in both the paper's baseline
-    and Q-GPU) multiplies adjacent overlapping gates into one wider pass,
-    cutting the number of full-state traversals.  Fusion cancels out of
-    baseline-normalized comparisons, so the standard benches run unfused;
-    the fusion ablation bench measures its absolute effect.
-    """
-
-    name: str
-    qubits: tuple[int, ...]
-    is_diagonal: bool
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.qubits)
-
-    @classmethod
-    def from_block(cls, block) -> "FusedOp":
-        return cls(
-            name=f"fused[{len(block.gates)}]",
-            qubits=block.qubits,
-            is_diagonal=all(g.is_diagonal for g in block.gates),
-        )
 
 
 @dataclass
@@ -232,7 +203,6 @@ class TimedExecutor:
         circuit: QuantumCircuit,
         version: VersionConfig,
         compression_ratio: float = 1.0,
-        fusion_max_qubits: int = 0,
     ) -> TimedResult:
         """Model the execution of ``circuit`` under ``version``.
 
@@ -243,9 +213,6 @@ class TimedExecutor:
             compression_ratio: Measured GFC compressed/uncompressed ratio
                 for this circuit's family; only used when
                 ``version.compression`` is set.
-            fusion_max_qubits: When positive, apply Aer-style gate fusion
-                up to this block width before executing (ablation; fusion
-                cancels out of baseline-normalized figures).
 
         Raises:
             SimulationError: When the state vector exceeds host memory (the
@@ -265,13 +232,7 @@ class TimedExecutor:
                 f"compression ratio must be in (0, 1], got {compression_ratio}"
             )
 
-        ordered = reorder(circuit, version.reorder_strategy)
-        ops: list = list(ordered)
-        if fusion_max_qubits:
-            ops = [
-                FusedOp.from_block(block)
-                for block in fuse(ordered, fusion_max_qubits)
-            ]
+        ops = list(reorder(circuit, version.reorder_strategy))
         result = TimedResult(
             circuit_name=circuit.name,
             version=version.name,
@@ -513,8 +474,7 @@ class TimedExecutor:
         latency = machine.spec.link.latency
         # The paper's design streams live chunks from host memory on every
         # gate (circular buffers, Fig. 5/6); only a state vector that fits
-        # entirely in device memory stays resident.  The live_residency
-        # ablation additionally caches the pruned live set while it fits.
+        # entirely in device memory stays resident.
         whole_state_resident = (AMP_BYTES << n) <= total_capacity
         resident_live_bytes = 0.0
 
@@ -555,10 +515,7 @@ class TimedExecutor:
             result.gpu_flops += machine.gate_flops(live_amps, k, diagonal)
             result.gpu_bytes_touched += 2 * AMP_BYTES * live_amps
 
-            resident = whole_state_resident or (
-                version.live_residency and live_bytes <= total_capacity
-            )
-            if resident:
+            if whole_state_resident:
                 # Resident across GPUs; newly live chunks are zero-filled
                 # on device (cudaMemset), so nothing moves.
                 resident_live_bytes = live_bytes
@@ -569,12 +526,6 @@ class TimedExecutor:
                     )
                 )
                 continue
-
-            if resident_live_bytes:
-                # Transition out of the resident regime: from now on chunks
-                # stream; the previously resident set joins the stream for
-                # free (it is already on device for the first pass).
-                resident_live_bytes = 0.0
 
             ratio = compression_ratio if compression_on else 1.0
             per_gpu_bytes = live_bytes / num_gpus

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.circuits.circuit import QuantumCircuit
 from repro.comparisons.models import estimate_cpu_openmp
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import ALL_VERSIONS, QGPU, VersionConfig
+from repro.core.versions import ALL_VERSIONS, VersionConfig
 from repro.errors import SimulationError
 from repro.hardware.specs import MachineSpec, PAPER_MACHINE
 from repro.stabilizer import is_clifford_circuit
@@ -91,7 +91,6 @@ class ExecutionPlan:
 def plan_execution(
     circuit: QuantumCircuit,
     machine: MachineSpec = PAPER_MACHINE,
-    include_extensions: bool = True,
 ) -> ExecutionPlan:
     """Price all candidates and rank them.
 
@@ -100,23 +99,12 @@ def plan_execution(
             host memory for every engine).
     """
     entries: list[PlanEntry] = []
-    for version in ALL_VERSIONS:
+    for version in (*ALL_VERSIONS, QGPU_DIAGONAL_AWARE, QGPU_BASIS_TRACKING):
         try:
             timing = QGpuSimulator(machine=machine, version=version).estimate(circuit)
         except SimulationError:
             continue
         entries.append(PlanEntry(version.name, timing.total_seconds, "qgpu-version"))
-    if include_extensions:
-        for extension in (QGPU_DIAGONAL_AWARE, QGPU_BASIS_TRACKING):
-            try:
-                timing = QGpuSimulator(
-                    machine=machine, version=extension
-                ).estimate(circuit)
-            except SimulationError:
-                continue
-            entries.append(
-                PlanEntry(extension.name, timing.total_seconds, "qgpu-version")
-            )
     try:
         cpu = estimate_cpu_openmp(circuit, machine=machine)
         entries.append(PlanEntry("CPU-OpenMP", cpu.total_seconds, "cpu"))

@@ -37,10 +37,6 @@ class VersionConfig:
         reorder_strategy: ``"original"``, ``"greedy"`` or
             ``"forward_looking"`` (Section IV-C).
         compression: GFC compression of streamed chunks (Section IV-D).
-        live_residency: Extension beyond the paper (ablation): keep the
-            pruned live set cached in GPU memory across gates while it
-            fits, instead of streaming it from the host every gate as the
-            paper's circular-buffer design does.
         diagonal_aware_pruning: Extension beyond the paper (ablation):
             diagonal gates cannot create new non-zero amplitudes, so they
             neither involve new qubits nor touch the uninvolved slices -
@@ -58,7 +54,6 @@ class VersionConfig:
     pruning: bool
     reorder_strategy: str = "original"
     compression: bool = False
-    live_residency: bool = False
     diagonal_aware_pruning: bool = False
     basis_tracking_pruning: bool = False
 

@@ -98,60 +98,6 @@ class EventTimeline:
         self._by_name[name] = task
         return task
 
-    def add_retryable(
-        self,
-        name: str,
-        resource: str,
-        duration: float,
-        deps: tuple[str, ...] | list[str] = (),
-        fail_attempts: int = 0,
-        max_attempts: int = 4,
-        backoff_base: float = 0.0,
-        backoff_factor: float = 2.0,
-    ) -> Task:
-        """Register a transfer-like task that fails ``fail_attempts`` times.
-
-        Models a retried link operation the way a reliability-aware
-        runtime schedules it: each failed attempt occupies ``resource``
-        for the full ``duration`` (the corruption is only detected at
-        receive), then waits out an exponential backoff on a private
-        timer resource, then retries.  The successful final attempt keeps
-        the plain ``name`` so dependents reference it unchanged; earlier
-        attempts are named ``{name}@try{i}`` and backoff waits
-        ``{name}@wait{i}``.
-
-        Returns the final (successful) task.
-
-        Raises:
-            SchedulingError: When ``fail_attempts`` meets or exceeds
-                ``max_attempts`` (the retry budget is exhausted), or the
-                backoff schedule is malformed.
-        """
-        if fail_attempts < 0 or max_attempts < 1:
-            raise SchedulingError(
-                f"task {name!r}: fail_attempts/max_attempts out of range"
-            )
-        if fail_attempts >= max_attempts:
-            raise SchedulingError(
-                f"task {name!r} fails {fail_attempts} times but only "
-                f"{max_attempts} attempts are budgeted"
-            )
-        if backoff_base < 0 or backoff_factor < 1.0:
-            raise SchedulingError(
-                f"task {name!r}: backoff must be non-negative and non-shrinking"
-            )
-        previous = tuple(deps)
-        for attempt in range(fail_attempts):
-            tried = self.add(f"{name}@try{attempt}", resource, duration, previous)
-            wait = self.add(
-                f"{name}@wait{attempt}",
-                f"__backoff__:{name}",
-                backoff_base * backoff_factor**attempt,
-                (tried.name,),
-            )
-            previous = (wait.name,)
-        return self.add(name, resource, duration, previous)
-
     def __len__(self) -> int:
         return len(self._tasks)
 

@@ -80,13 +80,3 @@ def double_buffered_roundtrip(
         finish_out[k] = max(finish_comp[k], finish_out[k - 1] if k else 0.0) + stages.d2h
     return finish_out[-1] if num_batches else 0.0
 
-
-def pipeline_transfer_exposure(num_batches: int, stages: StageTimes, buffers: int = 2) -> float:
-    """Seconds of the double-buffered makespan attributable to transfers.
-
-    Defined as makespan minus the GPU compute engine's busy time - i.e. the
-    time the GPU compute engine is stalled on data movement.  Used for the
-    Fig. 13 data-transfer-time accounting.
-    """
-    makespan = double_buffered_roundtrip(num_batches, stages, buffers)
-    return max(0.0, makespan - num_batches * stages.compute)

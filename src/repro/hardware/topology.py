@@ -8,16 +8,14 @@ device-to-device communication matrix are meaningless without an explicit
 link inventory.  This module provides it:
 
 * :class:`DeviceLink` - one named, directed-pair link between two endpoints
-  (``host`` or ``gpu{i}``, or node-qualified ``n{j}:...`` for clusters),
-  carrying a :class:`~repro.hardware.specs.LinkSpec` for bandwidth/latency;
+  (``host`` or ``gpu{i}``), carrying a
+  :class:`~repro.hardware.specs.LinkSpec` for bandwidth/latency;
 * :class:`Topology` - a validated set of endpoints and links with lookup
   helpers (:meth:`Topology.host_link`, :meth:`Topology.link_between`);
-* builders for the three shapes the paper's servers and the scale-out
-  projections use: :func:`pcie_switch` (every GPU behind its own PCIe root
-  port - the P100/P4 servers), :func:`nvlink_mesh` (host links plus
-  all-pairs peer links - the 4x V100 NVLink server), and
-  :func:`multi_node_ib` (PCIe inside each node, InfiniBand between node
-  hosts - the Section V-F projection modelled by ``analysis.scaling``).
+* builders for the two shapes the paper's servers use: :func:`pcie_switch`
+  (every GPU behind its own PCIe root port - the P100/P4 servers) and
+  :func:`nvlink_mesh` (host links plus all-pairs peer links - the 4x V100
+  NVLink server).
 
 :meth:`~repro.hardware.specs.MachineSpec.interconnect` derives the default
 topology from a machine's existing specs, so every preset gains a link
@@ -29,22 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import HardwareModelError
-from repro.hardware.specs import GB, LinkSpec, MachineSpec, NVLINK2, PCIE3_X16
+from repro.hardware.specs import LinkSpec, MachineSpec, NVLINK2, PCIE3_X16
 
-#: The canonical host endpoint name (single-node topologies).
+#: The canonical host endpoint name.
 HOST = "host"
 
-#: EDR/HDR-class InfiniBand NIC, matching the 100 Gb/s figure
-#: ``analysis.scaling`` uses for the multi-node projection.
-IB_HDR100 = LinkSpec(
-    "InfiniBand HDR100", bandwidth_per_direction=12.5 * GB, latency=1.5e-6
-)
 
-
-def device_name(index: int, node: int | None = None) -> str:
-    """Canonical device endpoint name (``gpu3`` or ``n1:gpu3``)."""
-    base = f"gpu{index}"
-    return base if node is None else f"n{node}:{base}"
+def device_name(index: int) -> str:
+    """Canonical device endpoint name (``gpu3``)."""
+    return f"gpu{index}"
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,7 @@ class DeviceLink:
     Attributes:
         link_id: Unique identifier within the topology (stable across
             runs; trace spans and Prometheus gauges key on it).
-        kind: Link family - ``"pcie"``, ``"nvlink"`` or ``"ib"``.
+        kind: Link family - ``"pcie"`` or ``"nvlink"``.
         src: One endpoint (a host or device name).
         dst: The other endpoint.
         spec: Bandwidth/latency/duplex figures.  Links are modelled as
@@ -87,25 +78,23 @@ class DeviceLink:
 
 @dataclass(frozen=True)
 class Topology:
-    """A validated interconnect: hosts, devices, and the links between them.
+    """A validated interconnect: the host, devices, and the links between them.
 
     Attributes:
         name: Identifier used in reports.
         devices: Device endpoint names, in stream order.
         links: Every link in the fabric.
-        hosts: Host endpoint names (one per node).
     """
 
     name: str
     devices: tuple[str, ...]
     links: tuple[DeviceLink, ...]
-    hosts: tuple[str, ...] = (HOST,)
 
     def __post_init__(self) -> None:
         if not self.devices:
             raise HardwareModelError(f"topology {self.name!r} has no devices")
-        endpoints = set(self.hosts) | set(self.devices)
-        if len(endpoints) < len(self.hosts) + len(self.devices):
+        endpoints = {HOST, *self.devices}
+        if len(endpoints) < 1 + len(self.devices):
             raise HardwareModelError(
                 f"topology {self.name!r} has duplicate endpoint names"
             )
@@ -123,7 +112,7 @@ class Topology:
                         f"references unknown endpoint {endpoint!r}"
                     )
         for device in self.devices:
-            if self.host_link_or_none(device) is None:
+            if self.link_between(HOST, device) is None:
                 raise HardwareModelError(
                     f"topology {self.name!r}: device {device!r} has no host link"
                 )
@@ -132,22 +121,14 @@ class Topology:
     def num_devices(self) -> int:
         return len(self.devices)
 
-    def host_link_or_none(self, device: str) -> DeviceLink | None:
-        """The link joining ``device`` to a host, or None."""
-        for link in self.links:
-            for host in self.hosts:
-                if link.connects(host, device):
-                    return link
-        return None
-
     def host_link(self, device: str) -> DeviceLink:
-        """The link joining ``device`` to a host.
+        """The link joining ``device`` to the host.
 
         Raises:
             HardwareModelError: Unknown device (validation guarantees every
                 known device has one).
         """
-        link = self.host_link_or_none(device)
+        link = self.link_between(HOST, device)
         if link is None:
             raise HardwareModelError(
                 f"topology {self.name!r}: no host link for {device!r}"
@@ -163,12 +144,7 @@ class Topology:
 
     def peer_links(self) -> tuple[DeviceLink, ...]:
         """Links joining two devices (no host endpoint)."""
-        hosts = set(self.hosts)
-        return tuple(
-            link
-            for link in self.links
-            if link.src not in hosts and link.dst not in hosts
-        )
+        return tuple(link for link in self.links if HOST not in (link.src, link.dst))
 
 
 # -- builders ------------------------------------------------------------------
@@ -221,47 +197,6 @@ def nvlink_mesh(
                 )
             )
     return Topology(f"nvlink-mesh-{num_gpus}", devices, tuple(links))
-
-
-def multi_node_ib(
-    num_nodes: int,
-    gpus_per_node: int,
-    host_link: LinkSpec = PCIE3_X16,
-    ib_link: LinkSpec = IB_HDR100,
-) -> Topology:
-    """PCIe inside each node, InfiniBand between node hosts.
-
-    Each host pair gets one logical IB path (the switched fabric collapsed
-    to endpoint pairs), matching the ``analysis.scaling`` projection where
-    the network serialises inter-node chunk exchange.
-    """
-    if num_nodes < 1 or gpus_per_node < 1:
-        raise HardwareModelError("need at least one node and one GPU per node")
-    hosts = tuple(f"n{j}:host" for j in range(num_nodes))
-    devices = tuple(
-        device_name(i, node=j)
-        for j in range(num_nodes)
-        for i in range(gpus_per_node)
-    )
-    links = [
-        DeviceLink(
-            f"pcie/n{j}:host-{device_name(i, node=j)}",
-            "pcie",
-            hosts[j],
-            device_name(i, node=j),
-            host_link,
-        )
-        for j in range(num_nodes)
-        for i in range(gpus_per_node)
-    ]
-    for a in range(num_nodes):
-        for b in range(a + 1, num_nodes):
-            links.append(
-                DeviceLink(f"ib/n{a}-n{b}", "ib", hosts[a], hosts[b], ib_link)
-            )
-    return Topology(
-        f"ib-{num_nodes}x{gpus_per_node}", devices, tuple(links), hosts=hosts
-    )
 
 
 def default_topology(spec: MachineSpec) -> Topology:

@@ -18,14 +18,7 @@ import json
 from pathlib import Path
 
 from repro.hardware.events import TimelineResult
-
-
-def _device_of(resource: str) -> str | None:
-    """Device prefix of a namespaced resource (``gpu1:h2d`` -> ``gpu1``)."""
-    prefix, sep, _ = resource.partition(":")
-    if sep and not prefix.startswith("__"):
-        return prefix
-    return None
+from repro.obs.tracer import device_for_resource
 
 
 def to_chrome_trace(
@@ -53,7 +46,7 @@ def to_chrome_trace(
     ]
     for resource, tid in tids.items():
         args: dict = {"name": resource}
-        device = _device_of(resource)
+        device = device_for_resource(resource)
         if device is not None:
             args["device"] = device
         events.append(
@@ -82,7 +75,7 @@ def to_chrome_trace(
             "dur": record.task.duration * time_scale,
         }
         args = dict(record.task.meta) if record.task.meta else {}
-        device = _device_of(record.task.resource)
+        device = device_for_resource(record.task.resource)
         if device is not None:
             args.setdefault("device", device)
         if args:

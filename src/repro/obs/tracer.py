@@ -76,8 +76,8 @@ def stage_for_resource(resource: str) -> str | None:
     stage = DES_RESOURCE_STAGES.get(resource)
     if stage is not None:
         return stage
-    prefix, sep, suffix = resource.partition(":")
-    if sep and not prefix.startswith("__"):
+    _, sep, suffix = resource.partition(":")
+    if sep:
         return DES_RESOURCE_STAGES.get(suffix)
     return None
 
@@ -85,11 +85,10 @@ def stage_for_resource(resource: str) -> str | None:
 def device_for_resource(resource: str) -> str | None:
     """Device prefix of a namespaced DES resource (``gpu1:h2d`` -> ``gpu1``).
 
-    None for un-namespaced (single-device) resources and for internal
-    dunder resources like the retry engine's backoff timers.
+    None for un-namespaced (single-device) resources.
     """
     prefix, sep, suffix = resource.partition(":")
-    if sep and suffix in DES_RESOURCE_STAGES and not prefix.startswith("__"):
+    if sep and suffix in DES_RESOURCE_STAGES:
         return prefix
     return None
 

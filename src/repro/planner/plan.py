@@ -181,10 +181,17 @@ def _selection_rationale(
             f"all {features.num_gates} gates are Clifford, so tableau "
             f"simulation is polynomial in n; "
         )
-    elif chosen.backend == "sparse":
+    elif chosen.backend == "sparse" and features.probe_completed:
         structure = (
             f"support probe completed with peak support "
             f"{features.probe_support_peak} of "
+            f"{1 << features.num_qubits} amplitudes; "
+        )
+    elif chosen.backend == "sparse":
+        structure = (
+            f"support probe aborted at support "
+            f"{features.probe_support_peak}, so priced at the structural "
+            f"bound of {features.support_bound_peak} of "
             f"{1 << features.num_qubits} amplitudes; "
         )
     elif chosen.backend == "mps":

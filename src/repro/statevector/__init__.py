@@ -1,5 +1,8 @@
-"""Dense and chunked Schroedinger-style state-vector simulation, plus
-density matrices, Pauli observables, and compressed persistence."""
+"""Dense and chunked Schroedinger-style state-vector simulation and
+compressed persistence.
+
+Pauli observables live in :mod:`repro.statevector.expectation`, a reference
+oracle that no front door imports; import it by module path."""
 
 from repro.statevector.apply import (
     apply_controlled,
@@ -8,20 +11,6 @@ from repro.statevector.apply import (
     apply_matrix,
 )
 from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
-from repro.statevector.density import (
-    DensityMatrix,
-    KrausChannel,
-    amplitude_damping,
-    depolarizing,
-    phase_damping,
-)
-from repro.statevector.expectation import (
-    Observable,
-    PauliString,
-    apply_pauli,
-    expectation_pauli,
-    ising_energy,
-)
 from repro.statevector.io import dump_state, load_state, roundtrip_bytes
 from repro.statevector.kernels import (
     apply_diagonal_chunk,
@@ -49,32 +38,22 @@ __all__ = [
     "AUTO_PARALLEL_THRESHOLD",
     "ChunkWorkerPool",
     "ChunkedStateVector",
-    "DensityMatrix",
-    "KrausChannel",
     "LiveSubcube",
-    "Observable",
     "ParallelChunkEngine",
-    "PauliString",
     "StateVector",
-    "amplitude_damping",
     "apply_controlled",
     "apply_diagonal",
     "apply_diagonal_chunk",
     "apply_gate",
     "apply_matrix",
-    "apply_pauli",
     "chunk_diagonal_factor",
     "chunk_pair_groups",
-    "depolarizing",
     "dump_state",
-    "expectation_pauli",
     "expectation_z",
-    "ising_energy",
     "load_state",
     "marginal_probability",
     "most_probable",
     "outside_mask",
-    "phase_damping",
     "probabilities",
     "resolve_workers",
     "roundtrip_bytes",

@@ -5,6 +5,10 @@ as ``sum_k c_k <psi| P_k |psi>`` over Pauli strings ``P_k``.  This module
 evaluates such observables exactly against a state vector without building
 any ``2^n x 2^n`` matrices: each string is applied as a sequence of
 single-qubit kernels to a scratch copy.
+
+A test oracle: it is the dense reference for the MPS engine's
+``expectation_pauli`` and the tableau's stabilizer checks, and no front
+door imports it.
 """
 
 from __future__ import annotations
@@ -114,25 +118,3 @@ class Observable:
     def min_width(self) -> int:
         return max((s.min_width() for _, s in self.terms), default=0)
 
-
-def ising_energy(
-    amplitudes: np.ndarray,
-    edges: list[tuple[int, int]],
-    coupling: float = 1.0,
-    field: float = 0.0,
-) -> float:
-    """Energy of a transverse-field-Ising-style observable.
-
-    ``H = coupling * sum_(i,j) Z_i Z_j + field * sum_i X_i`` over the state;
-    the MaxCut cost the paper's qaoa benchmark optimises is the ``ZZ`` part.
-    """
-    num_qubits = int(np.asarray(amplitudes).size).bit_length() - 1
-    energy = 0.0
-    for a, b in edges:
-        energy += coupling * expectation_pauli(
-            amplitudes, PauliString(((a, "Z"), (b, "Z")))
-        )
-    if field:
-        for q in range(num_qubits):
-            energy += field * expectation_pauli(amplitudes, PauliString(((q, "X"),)))
-    return energy

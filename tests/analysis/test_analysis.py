@@ -8,7 +8,7 @@ import pytest
 from repro.analysis.amplitudes import amplitude_snapshots
 from repro.analysis.breakdown import average_breakdown, breakdown
 from repro.analysis.roofline import roofline_ceiling, roofline_point
-from repro.analysis.tables import format_normalized, format_table
+from repro.analysis.tables import format_table
 from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import BASELINE, NAIVE, QGPU
@@ -104,6 +104,3 @@ class TestTables:
     def test_float_formatting(self) -> None:
         text = format_table(["x"], [[0.123456789]])
         assert "0.1235" in text
-
-    def test_format_normalized(self) -> None:
-        assert format_normalized(0.2814) == "0.281x"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import FAMILIES, get_circuit
-from repro.circuits.fusion import fuse, fusion_factor
+from repro.circuits.fusion import fuse
 from repro.errors import SimulationError
 from repro.statevector.apply import apply_matrix
 from repro.statevector.state import StateVector, simulate
@@ -65,6 +65,20 @@ class TestFusionStructure:
         with pytest.raises(SimulationError):
             fuse(QuantumCircuit(1).h(0), max_fused_qubits=0)
 
+    @given(seed=st.integers(0, 100))
+    def test_gates_survive_in_order_for_every_limit(self, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        circuit = QuantumCircuit(5)
+        for _ in range(30):
+            if rng.random() < 0.5:
+                a, b = rng.choice(5, size=2, replace=False)
+                circuit.cx(int(a), int(b))
+            else:
+                circuit.h(int(rng.integers(5)))
+        for k in (1, 2, 3, 4):
+            flattened = [g for block in fuse(circuit, k) for g in block.gates]
+            assert flattened == list(circuit.gates)
+
 
 class TestFusedSemantics:
     @pytest.mark.parametrize("family", FAMILIES)
@@ -72,6 +86,20 @@ class TestFusedSemantics:
         circuit = get_circuit(family, 8)
         state = StateVector(8)
         apply_blocks(state.amplitudes, circuit, max_fused_qubits=4)
+        np.testing.assert_allclose(
+            state.amplitudes, simulate(circuit).amplitudes, atol=1e-9
+        )
+
+    @pytest.mark.parametrize("max_fused_qubits", [1, 2, 3, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_width_limit_matches_dense(
+        self, family: str, max_fused_qubits: int
+    ) -> None:
+        # Each limit changes the block boundaries and the size of the
+        # matrices ``apply_matrix`` sees; the state must not change.
+        circuit = get_circuit(family, 8)
+        state = StateVector(8)
+        apply_blocks(state.amplitudes, circuit, max_fused_qubits)
         np.testing.assert_allclose(
             state.amplitudes, simulate(circuit).amplitudes, atol=1e-9
         )
@@ -113,34 +141,3 @@ class TestFusedSemantics:
             state.amplitudes, simulate(circuit).amplitudes, atol=1e-10
         )
 
-
-class TestFusionFactor:
-    def test_at_least_one(self) -> None:
-        for family in FAMILIES:
-            assert fusion_factor(get_circuit(family, 10)) >= 1.0
-
-    def test_single_qubit_chain_factor(self) -> None:
-        circuit = QuantumCircuit(1)
-        for _ in range(8):
-            circuit.t(0)
-        assert fusion_factor(circuit) == 8.0
-
-    @given(seed=st.integers(0, 100))
-    def test_factor_at_least_one_for_every_limit(self, seed: int) -> None:
-        # Greedy fusion is *not* strictly monotone in the width limit (a
-        # wider block can greedily absorb a gate that would have seeded a
-        # better split), so only the lower bound is a true invariant.
-        rng = np.random.default_rng(seed)
-        circuit = QuantumCircuit(5)
-        for _ in range(30):
-            if rng.random() < 0.5:
-                a, b = rng.choice(5, size=2, replace=False)
-                circuit.cx(int(a), int(b))
-            else:
-                circuit.h(int(rng.integers(5)))
-        for k in (1, 2, 3, 4):
-            assert fusion_factor(circuit, k) >= 1.0
-        # Every block's gates survive in order under every limit.
-        for k in (2, 4):
-            flattened = [g for block in fuse(circuit, k) for g in block.gates]
-            assert flattened == list(circuit.gates)

@@ -97,25 +97,23 @@ class TestCompressionBehaviour:
 
 
 class TestFormatErrors:
-    def test_bad_magic_rejected(self) -> None:
-        stream = bytearray(compress(np.ones(8)))
-        stream[0] = ord("X")
-        with pytest.raises(CompressionError, match="magic"):
-            decompress(bytes(stream))
-
-    def test_truncated_stream_rejected(self) -> None:
+    @pytest.mark.parametrize(
+        ("corrupt", "message"),
+        [
+            (lambda stream: stream[:2], "too short"),
+            (lambda stream: b"X" + stream[1:], "magic"),
+            (lambda stream: stream[:-5], "truncated segment"),
+            (lambda stream: stream + b"\x00", "trailing"),
+            (lambda stream: stream[:4] + (101).to_bytes(8, "little") + stream[12:],
+             "promised 101 words"),
+        ],
+        ids=["short-header", "bad-magic", "truncated-segment", "trailing-bytes",
+             "word-count-mismatch"],
+    )
+    def test_malformed_stream_rejected(self, corrupt, message: str) -> None:
         stream = compress(np.ones(100))
-        with pytest.raises(CompressionError):
-            decompress(stream[: len(stream) - 5])
-
-    def test_trailing_garbage_rejected(self) -> None:
-        stream = compress(np.ones(8))
-        with pytest.raises(CompressionError, match="trailing"):
-            decompress(stream + b"\x00")
-
-    def test_too_short_for_header(self) -> None:
-        with pytest.raises(CompressionError, match="too short"):
-            decompress(b"GF")
+        with pytest.raises(CompressionError, match=message):
+            decompress(corrupt(stream))
 
     def test_wrong_dtype_rejected(self) -> None:
         with pytest.raises(CompressionError, match="float64"):

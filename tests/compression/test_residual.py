@@ -7,7 +7,6 @@ import pytest
 
 from repro.compression.residual import (
     consecutive_residuals,
-    residual_histogram,
     residual_stats,
 )
 from repro.errors import CompressionError
@@ -58,18 +57,3 @@ class TestStats:
         stats = residual_stats(np.zeros(1, dtype=np.complex128))
         assert stats.near_zero_fraction == 1.0
 
-
-class TestHistogram:
-    def test_histogram_is_symmetric_range(self, rng) -> None:
-        amplitudes = (rng.normal(size=128) + 1j * rng.normal(size=128)).astype(
-            np.complex128
-        )
-        counts, edges = residual_histogram(amplitudes, bins=32)
-        assert counts.sum() == 2 * 127
-        assert edges[0] == pytest.approx(-edges[-1])
-
-    def test_explicit_range(self) -> None:
-        amplitudes = np.array([0j, 1 + 0j, 0j, 1 + 0j], dtype=np.complex128)
-        counts, edges = residual_histogram(amplitudes, bins=4, value_range=2.0)
-        assert edges[0] == -2.0 and edges[-1] == 2.0
-        assert counts.sum() == 6

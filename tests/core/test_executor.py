@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.library import get_circuit
+from repro.circuits.library import FAMILIES, get_circuit
 from repro.core.executor import TimedExecutor, TimedResult
 from repro.core.versions import (
     ALL_VERSIONS,
@@ -15,7 +15,6 @@ from repro.core.versions import (
     PRUNING,
     QGPU,
     REORDER,
-    VersionConfig,
 )
 from repro.errors import SimulationError
 from repro.hardware.machine import Machine
@@ -69,7 +68,7 @@ class TestRegimes:
 class TestVersionOrdering:
     """The paper's headline monotonicity: each optimization helps."""
 
-    @pytest.mark.parametrize("family", ["qft", "iqp", "gs", "qaoa", "hchain"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_stacked_versions_are_monotone(self, executor, family: str) -> None:
         circuit = get_circuit(family, 32)
         overlap = executor.execute(circuit, OVERLAP).total_seconds
@@ -172,13 +171,3 @@ class TestValidation:
             executor.execute(qft_large, QGPU, compression_ratio=0.0)
         with pytest.raises(SimulationError):
             executor.execute(qft_large, QGPU, compression_ratio=1.5)
-
-    def test_live_residency_ablation_is_faster(self, executor) -> None:
-        circuit = get_circuit("iqp", 32)
-        streaming = executor.execute(circuit, PRUNING).total_seconds
-        resident_cfg = VersionConfig(
-            "Pruning+residency", dynamic_allocation=True, overlap=True,
-            pruning=True, live_residency=True,
-        )
-        resident = executor.execute(circuit, resident_cfg).total_seconds
-        assert resident < streaming

@@ -84,15 +84,12 @@ def test_more_gpus_never_slower(family: str, counts: tuple[int, int]) -> None:
 @given(
     family=family_strategy,
     diagonal_aware=st.booleans(),
-    residency=st.booleans(),
 )
-def test_extension_flags_never_hurt(
-    family: str, diagonal_aware: bool, residency: bool
-) -> None:
+def test_extension_flags_never_hurt(family: str, diagonal_aware: bool) -> None:
     circuit = get_circuit(family, 31)
     base = EXECUTOR.execute(circuit, PRUNING).total_seconds
     extended = VersionConfig(
         "ext", dynamic_allocation=True, overlap=True, pruning=True,
-        diagonal_aware_pruning=diagonal_aware, live_residency=residency,
+        diagonal_aware_pruning=diagonal_aware,
     )
     assert EXECUTOR.execute(circuit, extended).total_seconds <= base * 1.001

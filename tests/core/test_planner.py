@@ -32,12 +32,6 @@ class TestPlanning:
         assert plan.best.label in ("Q-GPU+diag", "Q-GPU+basis")
         assert plan.speedup_over("Baseline") > 10
 
-    def test_extensions_can_be_excluded(self) -> None:
-        plan = plan_execution(get_circuit("qft", 31), include_extensions=False)
-        labels = {entry.label for entry in plan.entries}
-        assert "Q-GPU+diag" not in labels
-        assert "Q-GPU+basis" not in labels
-
     def test_clifford_flagged(self) -> None:
         assert plan_execution(get_circuit("gs", 30)).clifford
         assert not plan_execution(get_circuit("qft", 30)).clifford

@@ -58,10 +58,6 @@ class TestPresets:
         assert VERSIONS_BY_NAME["Naive"] is NAIVE
         assert VERSIONS_BY_NAME["Reorder"] is REORDER
 
-    def test_live_residency_defaults_off(self) -> None:
-        # The paper's design streams every gate; residency is our ablation.
-        assert all(not v.live_residency for v in ALL_VERSIONS)
-
 
 class TestValidation:
     def test_overlap_requires_dynamic(self) -> None:
@@ -78,6 +74,6 @@ class TestValidation:
     def test_custom_ablation_config(self) -> None:
         config = VersionConfig(
             "ablate", dynamic_allocation=True, overlap=True, pruning=True,
-            live_residency=True,
+            diagonal_aware_pruning=True,
         )
-        assert config.live_residency
+        assert config.diagonal_aware_pruning

@@ -14,12 +14,10 @@ from repro.hardware.specs import (
 )
 from repro.hardware.topology import (
     HOST,
-    IB_HDR100,
     DeviceLink,
     Topology,
     default_topology,
     device_name,
-    multi_node_ib,
     nvlink_mesh,
     pcie_switch,
 )
@@ -28,9 +26,6 @@ from repro.hardware.topology import (
 class TestDeviceName:
     def test_flat(self) -> None:
         assert device_name(3) == "gpu3"
-
-    def test_with_node(self) -> None:
-        assert device_name(2, node=1) == "n1:gpu2"
 
 
 class TestDeviceLink:
@@ -86,21 +81,47 @@ class TestNvlinkMesh:
         )
 
 
-class TestMultiNodeIb:
-    def test_namespaced_devices_and_hosts(self) -> None:
-        topo = multi_node_ib(2, 2)
-        assert topo.devices == ("n0:gpu0", "n0:gpu1", "n1:gpu0", "n1:gpu1")
-        assert topo.hosts == ("n0:host", "n1:host")
-        ib = topo.link_between("n0:host", "n1:host")
-        assert ib is not None
-        assert ib.spec is IB_HDR100
+BUILDERS = {"pcie_switch": pcie_switch, "nvlink_mesh": nvlink_mesh}
 
-    def test_every_device_reaches_its_host(self) -> None:
-        topo = multi_node_ib(2, 2)
-        for node in (0, 1):
-            for gpu in (0, 1):
-                dev = f"n{node}:gpu{gpu}"
-                assert topo.host_link(dev).connects(f"n{node}:host", dev)
+
+class TestBuilderInvariants:
+    @pytest.mark.parametrize("num_gpus", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_every_device_reaches_the_host(self, builder: str, num_gpus: int) -> None:
+        topo = BUILDERS[builder](num_gpus)
+        assert topo.devices == tuple(device_name(i) for i in range(num_gpus))
+        assert len({link.link_id for link in topo.links}) == len(topo.links)
+        for dev in topo.devices:
+            link = topo.host_link(dev)
+            assert link.connects(HOST, dev)
+            assert topo.link_between(dev, HOST) is link
+
+    @pytest.mark.parametrize("num_gpus", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_peer_links_match_the_shape(self, builder: str, num_gpus: int) -> None:
+        topo = BUILDERS[builder](num_gpus)
+        pairs = [
+            (a, b)
+            for i, a in enumerate(topo.devices)
+            for b in topo.devices[i + 1:]
+        ]
+        if builder == "pcie_switch":
+            # Peer traffic relays through the host: no direct links.
+            assert topo.peer_links() == ()
+            assert all(topo.link_between(a, b) is None for a, b in pairs)
+        else:
+            assert len(topo.peer_links()) == len(pairs)
+            for a, b in pairs:
+                link = topo.link_between(a, b)
+                assert link is not None
+                assert topo.link_between(b, a) is link
+        assert len(topo.links) == num_gpus + len(topo.peer_links())
+
+    @pytest.mark.parametrize("num_gpus", [0, -1])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_no_gpus_rejected(self, builder: str, num_gpus: int) -> None:
+        with pytest.raises(HardwareModelError):
+            BUILDERS[builder](num_gpus)
 
 
 class TestValidation:

@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.circuits.library import get_circuit
+from repro.core.detailed import DetailedExecutor
 from repro.core.schedule import GateStreamPlan, stream_makespan
+from repro.core.versions import ALL_VERSIONS
 from repro.hardware.events import EventTimeline
+from repro.hardware.machine import Machine
 from repro.hardware.pipeline import StageTimes
+from repro.hardware.specs import MULTI_V100_MACHINE
+from repro.hardware.topology import device_name
 from repro.hardware.trace import to_chrome_trace, write_chrome_trace
+from repro.obs.tracer import stage_for_resource
+
+STREAMING_VERSIONS = [v for v in ALL_VERSIONS if v.dynamic_allocation]
 
 
 def sample_result():
@@ -51,3 +62,35 @@ class TestChromeTrace:
         assert path.stat().st_size == written
         payload = json.loads(path.read_text())
         assert len(payload["traceEvents"]) >= 9
+
+
+class TestDeviceAttribution:
+    """Every lane the DES emits is labelled with the device that owns it."""
+
+    @pytest.mark.parametrize("devices", [1, 2, 4])
+    @pytest.mark.parametrize("version", STREAMING_VERSIONS, ids=lambda v: v.name)
+    def test_spans_carry_their_lane_device(self, version, devices: int) -> None:
+        executor = DetailedExecutor(
+            Machine(MULTI_V100_MACHINE),
+            chunk_bits=14,
+            capacity_bytes=1 << 22,
+            devices=devices,
+        )
+        run = executor.execute(get_circuit("qft", 20), version)
+        events = to_chrome_trace(run.timeline)
+        lanes = {e["tid"]: e["args"] for e in events if e["name"] == "thread_name"}
+        assert all(stage_for_resource(args["name"]) for args in lanes.values())
+        spans = [e for e in events if e["ph"] == "X"]
+        if devices == 1:
+            # Single-device runs keep un-namespaced lanes; the executor's own
+            # span metadata still names the one device.
+            assert not any("device" in args for args in lanes.values())
+            assert {e["args"]["device"] for e in spans} == {device_name(0)}
+            return
+        for args in lanes.values():
+            assert args["name"] == f"{args['device']}:{args['name'].split(':')[1]}"
+        for span in spans:
+            assert span["args"]["device"] == lanes[span["tid"]]["device"]
+        assert {args["device"] for args in lanes.values()} == {
+            device_name(i) for i in range(devices)
+        }

@@ -110,7 +110,7 @@ def test_des_resource_names_map_into_taxonomy():
 
 def test_detailed_executor_resources_all_mapped():
     # The resources the detailed DES executor actually schedules must map
-    # into the taxonomy (backoff timers are structural and may not).
+    # into the taxonomy.
     from repro.circuits.library import get_circuit
     from repro.core.detailed import DetailedExecutor
     from repro.core.versions import VERSIONS_BY_NAME
@@ -124,6 +124,4 @@ def test_detailed_executor_resources_all_mapped():
     resources = {r.task.resource for r in run.timeline.records.values()}
     assert resources, "detailed run scheduled no tasks"
     for resource in resources:
-        if resource.startswith("__backoff__"):
-            continue
         assert stage_for_resource(resource) in STAGES, resource

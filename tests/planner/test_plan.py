@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.library import get_circuit
+from repro.circuits.library import FAMILIES, get_circuit
 from repro.errors import AnalysisError
 from repro.planner import DEFAULT_CONFIG, PlannerConfig, plan
 
@@ -93,6 +93,34 @@ class TestRendering:
             assert backend in text
         assert "-> chosen: stabilizer" in text
         assert "rationale:" in text
+
+    def test_sparse_rationale_agrees_with_the_probe(self) -> None:
+        # rqc_28 routes to sparse although its support probe aborts; the
+        # rationale must say so, as the cost table does.
+        chosen = plan(get_circuit("rqc", 28), DEFAULT_CONFIG)
+        assert chosen.backend == "sparse"
+        assert not chosen.features.probe_completed
+        assert "aborted" in chosen.rationale
+        assert "completed" not in chosen.rationale
+        assert "structural bound" in chosen.rationale
+        completed = plan(get_circuit("w", 16), DEFAULT_CONFIG)
+        assert "support probe completed" in completed.rationale
+
+    @pytest.mark.parametrize("qubits", [12, 28])
+    @pytest.mark.parametrize("family", FAMILIES + ("w",))
+    def test_probe_clause_matches_the_probe(self, family: str, qubits: int) -> None:
+        chosen = plan(get_circuit(family, qubits), DEFAULT_CONFIG)
+        completed = chosen.features.probe_completed
+        header = chosen.render().splitlines()[1]
+        assert header.endswith(f"probe peak {chosen.features.probe_support_peak}"
+                               f"{'' if completed else ' (aborted)'}  "
+                               f"bond proxy {chosen.features.bond_estimate}")
+        if chosen.backend == "sparse":
+            assert ("support probe completed" in chosen.rationale) == completed
+            assert ("support probe aborted" in chosen.rationale) != completed
+        else:
+            # The probe clause only ever justifies a sparse choice.
+            assert "support probe" not in chosen.rationale
 
     def test_cost_for_unknown_backend_raises(self) -> None:
         chosen = plan(get_circuit("bv", 8), DEFAULT_CONFIG)

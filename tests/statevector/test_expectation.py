@@ -12,7 +12,6 @@ from repro.statevector.expectation import (
     PauliString,
     apply_pauli,
     expectation_pauli,
-    ising_energy,
 )
 from repro.statevector.state import StateVector, simulate
 
@@ -79,9 +78,3 @@ class TestObservable:
         observable = Observable.from_dict({"Z0 Z7": 1.0})
         assert observable.min_width() == 8
 
-    def test_ising_energy_of_ghz(self) -> None:
-        circuit = QuantumCircuit(3).h(0).cx(0, 1).cx(1, 2)
-        state = simulate(circuit).amplitudes
-        # GHZ: <Z_i Z_j> = 1 on every pair, <X_i> = 0.
-        energy = ising_energy(state, [(0, 1), (1, 2)], coupling=-1.0, field=0.3)
-        assert energy == pytest.approx(-2.0, abs=1e-10)

@@ -1,7 +1,7 @@
 """End-to-end integration: a downstream user's whole workflow.
 
 Chains the public surface the way an adopter would: generate a workload,
-transpile it, choose a layout, run it exactly through the Q-GPU pipeline,
+transpile it, run it exactly through the Q-GPU pipeline,
 persist the state, reload and sample, check observables across engines, and
 finally price the large-width run on several machines via the planner.
 """
@@ -13,7 +13,6 @@ import io
 import numpy as np
 import pytest
 
-from repro.circuits.layout import cache_blocking_layout, apply_layout, permute_statevector
 from repro.circuits.library import get_circuit
 from repro.circuits.passes import transpile
 from repro.circuits.qasm import from_qasm, to_qasm
@@ -21,14 +20,8 @@ from repro.core.planner import plan_execution
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import QGPU
 from repro.mps import simulate_mps
-from repro.statevector import (
-    dump_state,
-    expectation_pauli,
-    load_state,
-    PauliString,
-    sample_counts,
-    simulate,
-)
+from repro.statevector import dump_state, load_state, sample_counts, simulate
+from repro.statevector.expectation import PauliString, expectation_pauli
 from repro.hardware.specs import A100_MACHINE, PAPER_MACHINE
 
 
@@ -38,14 +31,12 @@ class TestFullWorkflow:
         circuit = get_circuit("qaoa", 10)
         circuit = from_qasm(to_qasm(circuit), name="qaoa_10")
 
-        # 2. Transpile + layout, preserving semantics.
+        # 2. Transpile, preserving semantics.
         lowered = transpile(circuit)
-        mapping = cache_blocking_layout(lowered, 4)
-        placed = apply_layout(lowered, mapping)
 
         # 3. Exact run through the full Q-GPU functional pipeline.
-        result = QGpuSimulator(version=QGPU, chunk_bits=4).run(placed)
-        reference = permute_statevector(simulate(circuit).amplitudes, mapping)
+        result = QGpuSimulator(version=QGPU, chunk_bits=4).run(lowered)
+        reference = simulate(circuit).amplitudes
         np.testing.assert_allclose(result.amplitudes, reference, atol=1e-9)
 
         # 4. Persist compressed, reload bit-exact, sample.

@@ -1,0 +1,170 @@
+"""Every module in ``src/repro`` is reached from a front door, or is an oracle.
+
+The walk builds a static import graph over the package, counting imports
+inside function bodies too (the CLI imports its commands lazily), and
+follows it from the front doors:
+
+* the CLI (``repro.cli`` and ``python -m repro``),
+* ``repro.core.simulator`` (``QGpuSimulator``),
+* ``repro.service`` (``BatchService`` and its public surface),
+* ``repro.experiments`` (every ``run_experiment`` id),
+* the names in ``repro.__all__``.
+
+``from pkg import name`` is resolved through ``pkg/__init__.py`` to the
+submodule that defines ``name``: a re-export in an ``__init__`` alone does
+not reach a module.  A module no door reaches must be on :data:`ORACLES`
+with a reason, and an oracle must stay off every door's import path, both
+statically and at run time.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+
+SRC = Path(repro.__file__).resolve().parent
+ROOT_MODULES = (
+    "repro.__main__",
+    "repro.cli",
+    "repro.core.simulator",
+    "repro.service",
+    "repro.experiments",
+)
+
+#: Modules no door reaches on purpose.  Each is a reference the tests check
+#: an engine against; importing one from a door would be a defect.
+ORACLES = {
+    "repro.circuits.equivalence": (
+        "unitary and final-state equivalence checks that certify transpiler "
+        "and reorder passes in the tests"
+    ),
+    "repro.statevector.expectation": (
+        "dense Pauli-expectation reference for the MPS engine's "
+        "expectation_pauli and the tableau's stabilizer tests"
+    ),
+}
+
+
+def _module_names() -> dict[str, Path]:
+    names = {}
+    for path in sorted(SRC.rglob("*.py")):
+        parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        names[".".join(parts)] = path
+    return names
+
+
+MODULES = _module_names()
+TREES = {name: ast.parse(path.read_text(), str(path)) for name, path in MODULES.items()}
+
+
+def _is_package(name: str) -> bool:
+    return MODULES[name].name == "__init__.py"
+
+
+def _absolute(module: str, node: ast.ImportFrom) -> str:
+    if not node.level:
+        return node.module or ""
+    base = module.split(".")
+    base = base[: len(base) - node.level + (1 if _is_package(module) else 0)]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _resolve(package: str, name: str) -> str:
+    """The module that defines ``name`` as seen from ``from package import``."""
+    if f"{package}.{name}" in MODULES:
+        return f"{package}.{name}"
+    if package not in MODULES or not _is_package(package):
+        return package
+    for node in TREES[package].body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if (alias.asname or alias.name) == name:
+                    return _resolve(_absolute(package, node), alias.name)
+    return package
+
+
+def _imports(module: str) -> set[str]:
+    """Modules ``module`` imports, anywhere in its body, re-exports resolved."""
+    found = set()
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            source = _absolute(module, node)
+            found.update(_resolve(source, alias.name) for alias in node.names)
+    return {name for name in found if name in MODULES}
+
+
+def _reached() -> set[str]:
+    frontier = list(ROOT_MODULES)
+    frontier += [_resolve("repro", name) for name in repro.__all__]
+    reached: set[str] = set()
+    while frontier:
+        module = frontier.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        # A package's own re-exports are followed only when it is a door.
+        if _is_package(module) and module not in ROOT_MODULES:
+            continue
+        frontier.extend(_imports(module))
+    # Importing any submodule runs every enclosing package's __init__.
+    for module in list(reached):
+        parts = module.split(".")
+        reached.update(".".join(parts[:k]) for k in range(1, len(parts)))
+    return reached
+
+
+def test_every_module_is_reached_or_an_oracle() -> None:
+    unreached = sorted(set(MODULES) - _reached() - set(ORACLES))
+    assert not unreached, (
+        f"no front door reaches {unreached}: wire each to a door, retire it, "
+        "or add it to ORACLES with a reason"
+    )
+
+
+def test_oracles_exist_and_no_door_reaches_them() -> None:
+    assert set(ORACLES) <= set(MODULES), sorted(set(ORACLES) - set(MODULES))
+    assert not set(ORACLES) & _reached(), sorted(set(ORACLES) & _reached())
+
+
+def test_walk_follows_lazy_imports_and_resolves_re_exports() -> None:
+    # The CLI imports its commands inside functions.
+    assert "repro.hardware.trace" in _imports("repro.cli")
+    # ``from repro.statevector import simulate`` reaches the defining
+    # module, not the package's other re-exports.
+    assert _resolve("repro.statevector", "simulate") == "repro.statevector.state"
+    assert _resolve("repro", "QGpuSimulator") == "repro.core.simulator"
+
+
+#: How each door is entered at run time.
+DOOR_IMPORTS = {
+    **{root: f"import {root}" for root in ROOT_MODULES},
+    "repro.__all__": "from repro import *",
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOOR_IMPORTS))
+def test_importing_a_door_loads_no_oracle(door: str) -> None:
+    # One fresh interpreter per door, so a failure names the door that
+    # drags an oracle in.
+    script = (
+        "import sys\n"
+        f"{DOOR_IMPORTS[door]}\n"
+        f"print(sorted(set({sorted(ORACLES)!r}) & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    completed = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "[]", completed.stdout
