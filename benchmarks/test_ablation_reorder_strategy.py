@@ -28,7 +28,7 @@ def run_ablation() -> dict[tuple[str, str], float]:
         for strategy in ("original", "greedy", "forward_looking"):
             config = VersionConfig(
                 f"Pruning+{strategy}", dynamic_allocation=True, overlap=True,
-                pruning=True, reorder_strategy=strategy,
+                pruning="involvement", reorder_strategy=strategy,
             )
             results[(family, strategy)] = executor.execute(
                 circuit, config

@@ -17,12 +17,10 @@ from repro.core.simulator import QGpuSimulator
 from repro.core.versions import PRUNING, VersionConfig
 
 DIAGONAL_AWARE = VersionConfig(
-    "Pruning+diag", dynamic_allocation=True, overlap=True, pruning=True,
-    diagonal_aware_pruning=True,
+    "Pruning+diag", dynamic_allocation=True, overlap=True, pruning="diagonal",
 )
 BASIS_TRACKING = VersionConfig(
-    "Pruning+basis", dynamic_allocation=True, overlap=True, pruning=True,
-    basis_tracking_pruning=True,
+    "Pruning+basis", dynamic_allocation=True, overlap=True, pruning="basis",
 )
 NUM_QUBITS = 32
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.analysis.tables import format_table
 from repro.circuits.library import FAMILIES, get_circuit
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker
 from repro.sparse import simulate_sparse, SparseState
 
 NUM_QUBITS = 12
@@ -23,11 +23,11 @@ def run_tightness() -> dict[str, float]:
     results = {}
     for family in FAMILIES:
         circuit = get_circuit(family, NUM_QUBITS)
-        tracker = InvolvementTracker(NUM_QUBITS)
+        tracker = LiveTracker(NUM_QUBITS)
         state = SparseState(NUM_QUBITS)
         ratios = []
         for gate in circuit:
-            tracker.involve(gate)
+            tracker.observe(gate)
             state.apply(gate)
             ratios.append(state.support_size / tracker.live_amplitudes)
         results[family] = float(np.mean(ratios))

@@ -17,8 +17,7 @@ from repro.core.simulator import QGpuSimulator
 from repro.core.versions import PRUNING, VersionConfig
 
 DIAGONAL_AWARE = VersionConfig(
-    "Pruning+diag", dynamic_allocation=True, overlap=True, pruning=True,
-    diagonal_aware_pruning=True,
+    "Pruning+diag", dynamic_allocation=True, overlap=True, pruning="diagonal",
 )
 NUM_QUBITS = 32
 

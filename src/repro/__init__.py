@@ -4,7 +4,7 @@ A full reproduction of Zhao et al., HPCA 2022.  Public surface:
 
 * :mod:`repro.circuits` - circuit IR, DAG, OpenQASM, benchmark library;
 * :mod:`repro.statevector` - dense and chunked functional simulation;
-* :mod:`repro.core` - involvement/pruning/reordering, the six execution
+* :mod:`repro.core` - liveness/pruning/reordering, the six execution
   versions, the timed executor, and the :class:`~repro.core.QGpuSimulator`
   facade;
 * :mod:`repro.hardware` - the calibrated GPU-server model;

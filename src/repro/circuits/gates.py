@@ -334,3 +334,11 @@ class Gate:
             args = ", ".join(f"{p:.6g}" for p in self.params)
             return f"{self.name}({args}) {list(self.qubits)}"
         return f"{self.name} {list(self.qubits)}"
+
+
+def qubit_mask(qubits: tuple[int, ...]) -> int:
+    """Bitmask with a 1 at each listed qubit position."""
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    return mask

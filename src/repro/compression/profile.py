@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.circuits.library import get_circuit
 from repro.compression.gfc import compression_ratio
-from repro.core.involvement import InvolvementTracker
 from repro.errors import CircuitError
 from repro.statevector.state import StateVector
 
@@ -84,9 +83,13 @@ def measure_profile(
     skipped past the trivial all-zero opening (where pruning, not
     compression, is the active optimization).
     """
+    # Imported lazily: the tracker's module imports the statevector
+    # package, whose ``io`` module imports this package.
+    from repro.core.liveness import LiveTracker
+
     circuit = get_circuit(family, num_qubits, seed=seed)
     state = StateVector(num_qubits)
-    tracker = InvolvementTracker(num_qubits)
+    tracker = LiveTracker(num_qubits)
     total = len(circuit)
     sample_points = sorted(
         {min(total, max(1, round(total * (k + 1) / samples))) for k in range(samples)}
@@ -95,10 +98,10 @@ def measure_profile(
     next_sample = 0
     for index, gate in enumerate(circuit, start=1):
         state.apply(gate)
-        tracker.involve(gate)
+        tracker.observe(gate)
         if next_sample < len(sample_points) and index == sample_points[next_sample]:
             next_sample += 1
-            live = live_region(state.amplitudes, tracker.mask)
+            live = live_region(state.amplitudes, tracker.involvement)
             if live.size < 128:
                 continue  # pruning regime: nothing worth compressing yet
             ratios.append(compression_ratio(live, num_segments=num_segments))

@@ -1,6 +1,5 @@
-"""Q-GPU core: involvement, pruning, reordering, versions, executor, facade."""
+"""Q-GPU core: liveness, reordering, versions, executor, facade."""
 
-from repro.core.basis_tracking import BasisTracker, QubitState
 from repro.core.detailed import DetailedExecutor, DetailedRun
 from repro.core.executor import (
     DEFAULT_CHUNK_BITS,
@@ -9,19 +8,13 @@ from repro.core.executor import (
     TimedResult,
 )
 from repro.core.planner import ExecutionPlan, PlanEntry, plan_execution
-from repro.core.involvement import (
-    InvolvementTracker,
+from repro.core.liveness import (
+    LiveTracker,
     involvement_trace,
     live_fraction_trace,
-    qubit_mask,
+    live_schedule,
 )
 from repro.core.multigpu import GroupAssignment, assign_round_robin, per_gpu_amplitudes
-from repro.core.pruning import (
-    chunk_is_pruned,
-    iter_live_chunks,
-    live_amplitude_count,
-    live_chunk_count,
-)
 from repro.core.reorder import reorder, reorder_forward_looking, reorder_greedy
 from repro.core.simulator import FunctionalResult, QGpuSimulator, circuit_family
 from repro.core.versions import (
@@ -31,6 +24,8 @@ from repro.core.versions import (
     OVERLAP,
     PRUNING,
     QGPU,
+    QGPU_BASIS_TRACKING,
+    QGPU_DIAGONAL_AWARE,
     REORDER,
     VERSIONS_BY_NAME,
     VersionConfig,
@@ -39,8 +34,6 @@ from repro.core.versions import (
 __all__ = [
     "ALL_VERSIONS",
     "BASELINE",
-    "BasisTracker",
-    "QubitState",
     "DEFAULT_CHUNK_BITS",
     "DetailedExecutor",
     "DetailedRun",
@@ -50,11 +43,13 @@ __all__ = [
     "plan_execution",
     "GateTiming",
     "GroupAssignment",
-    "InvolvementTracker",
+    "LiveTracker",
     "NAIVE",
     "OVERLAP",
     "PRUNING",
     "QGPU",
+    "QGPU_BASIS_TRACKING",
+    "QGPU_DIAGONAL_AWARE",
     "QGpuSimulator",
     "REORDER",
     "TimedExecutor",
@@ -62,15 +57,11 @@ __all__ = [
     "VERSIONS_BY_NAME",
     "VersionConfig",
     "assign_round_robin",
-    "chunk_is_pruned",
     "circuit_family",
     "involvement_trace",
-    "iter_live_chunks",
-    "live_amplitude_count",
-    "live_chunk_count",
     "live_fraction_trace",
+    "live_schedule",
     "per_gpu_amplitudes",
-    "qubit_mask",
     "reorder",
     "reorder_forward_looking",
     "reorder_greedy",

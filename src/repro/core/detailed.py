@@ -33,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker, live_schedule
 from repro.core.multigpu import assign_round_robin
-from repro.core.pruning import iter_live_chunks
 from repro.core.reorder import reorder
 from repro.core.versions import VersionConfig
 from repro.errors import SimulationError
@@ -53,7 +52,7 @@ class DetailedRun:
         timeline: The event-engine result (per-task starts/finishes).
         makespan: Total modelled seconds.
         chunk_copies: H2D chunk-batch copies issued.
-        chunks_pruned: Chunk transfers Algorithm 1 skipped.
+        chunks_pruned: Chunk transfers the version's pruning rule skipped.
         gates: Gates executed.
         devices: Devices the run streamed over.
         transfers: Bytes moved per ``(src, dst)`` endpoint pair - the
@@ -161,7 +160,7 @@ class DetailedExecutor:
         ratio = compression_ratio if version.compression else 1.0
 
         timeline = EventTimeline()
-        tracker = InvolvementTracker(n)
+        tracker = LiveTracker(n, version.pruning)
         previous_in: dict[int, str | None] = {d: None for d in range(devices)}
         previous_comp: dict[int, str | None] = {d: None for d in range(devices)}
         previous_out: dict[int, str | None] = {d: None for d in range(devices)}
@@ -177,17 +176,9 @@ class DetailedExecutor:
             transfers[(src, dst)] = transfers.get((src, dst), 0.0) + moved
             link_bytes[link_id] = link_bytes.get(link_id, 0.0) + moved
 
-        for gate_index, gate in enumerate(ordered):
-            if version.pruning:
-                tracker.involve(
-                    gate, diagonal_aware=version.diagonal_aware_pruning
-                )
-                live = list(
-                    iter_live_chunks(n, self.chunk_bits, tracker.mask)
-                )
-                chunks_pruned += num_chunks - len(live)
-            else:
-                live = list(range(num_chunks))
+        for gate, gate_index, _ in live_schedule(ordered, tracker):
+            live = list(tracker.subcube(self.chunk_bits))
+            chunks_pruned += num_chunks - len(live)
 
             if devices == 1:
                 owned = {0: live}

@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.basis_tracking import BasisTracker
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker, live_schedule
 from repro.core.reorder import reorder
 from repro.core.versions import VersionConfig
 from repro.errors import FaultInjectionError, IntegrityError, SimulationError
@@ -469,7 +468,8 @@ class TimedExecutor:
         # for the remainder of the run.
         compression_on = version.compression
         codec_faults = 0
-        tracker = InvolvementTracker(n)
+        tracker = LiveTracker(n, version.pruning)
+        chunk_bits = self._effective_chunk_bits(n)
         link_bw = machine.spec.link.bandwidth_per_direction
         latency = machine.spec.link.latency
         # The paper's design streams live chunks from host memory on every
@@ -478,35 +478,14 @@ class TimedExecutor:
         whole_state_resident = (AMP_BYTES << n) <= total_capacity
         resident_live_bytes = 0.0
 
-        basis = (
-            BasisTracker(n) if version.basis_tracking_pruning else None
-        )
-        for index, gate in enumerate(ops):
-            if version.pruning and basis is not None:
-                live_amps = basis.live_amplitudes_with(gate)
-                basis.observe(gate)
-                fixed_mask, _ = basis.fixed_masks()
-                high_bits = (
-                    ~fixed_mask & ((1 << n) - 1)
-                ) >> self._effective_chunk_bits(n)
-                trailing = (~high_bits & (high_bits + 1)).bit_length() - 1
-                copy_runs = 1 << max(0, high_bits.bit_count() - trailing)
-            elif version.pruning:
-                live_amps = tracker.live_amplitudes_with(
-                    gate, diagonal_aware=version.diagonal_aware_pruning
-                )
-                tracker.involve(
-                    gate, diagonal_aware=version.diagonal_aware_pruning
-                )
-                # Live chunks are contiguous in host memory only while the
-                # involved chunk-index bits form a low run; otherwise each
-                # maximal run needs its own DMA, adding per-copy latency.
-                high_bits = tracker.mask >> self._effective_chunk_bits(n)
-                trailing = (~high_bits & (high_bits + 1)).bit_length() - 1
-                copy_runs = 1 << max(0, high_bits.bit_count() - trailing)
-            else:
-                live_amps = 1 << n
-                copy_runs = 1
+        for gate, index, touched in live_schedule(ops, tracker):
+            live_amps = touched  # amplitudes; ROADMAP item 12 prices whole live chunks
+            # Live chunks are contiguous in host memory only while the free
+            # chunk-index bits form a low run; otherwise each maximal run
+            # needs its own DMA, adding per-copy latency.
+            high_bits = tracker.free >> chunk_bits
+            trailing = (~high_bits & (high_bits + 1)).bit_length() - 1
+            copy_runs = 1 << max(0, high_bits.bit_count() - trailing)
             live_fraction = live_amps / (1 << n)
             live_bytes = AMP_BYTES * live_amps
             k = gate.num_qubits

@@ -3,8 +3,8 @@
 A downstream user's first question is "how should I run this circuit on
 this machine?".  The planner answers it by pricing the candidates:
 
-* every Q-GPU version (plus the diagonal-aware extension) via the timed
-  executor,
+* every Q-GPU version (plus the diagonal-aware and basis-tracking
+  extensions) via the timed executor,
 * the CPU-OpenMP path,
 * and - for circuits the polynomial engines accept - flags when the
   stabilizer engine applies (Clifford circuits are free lunch).
@@ -20,24 +20,14 @@ from dataclasses import dataclass
 from repro.circuits.circuit import QuantumCircuit
 from repro.comparisons.models import estimate_cpu_openmp
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import ALL_VERSIONS, VersionConfig
+from repro.core.versions import (
+    ALL_VERSIONS,
+    QGPU_BASIS_TRACKING,
+    QGPU_DIAGONAL_AWARE,
+)
 from repro.errors import SimulationError
 from repro.hardware.specs import MachineSpec, PAPER_MACHINE
 from repro.stabilizer import is_clifford_circuit
-
-#: The diagonal-aware extension, included as a candidate.
-QGPU_DIAGONAL_AWARE = VersionConfig(
-    "Q-GPU+diag", dynamic_allocation=True, overlap=True, pruning=True,
-    reorder_strategy="forward_looking", compression=True,
-    diagonal_aware_pruning=True,
-)
-#: The basis-tracking extension (subsumes diagonal-aware), also a candidate.
-QGPU_BASIS_TRACKING = VersionConfig(
-    "Q-GPU+basis", dynamic_allocation=True, overlap=True, pruning=True,
-    reorder_strategy="forward_looking", compression=True,
-    basis_tracking_pruning=True,
-)
-
 
 @dataclass(frozen=True)
 class PlanEntry:

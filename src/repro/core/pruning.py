@@ -1,4 +1,4 @@
-"""Zero state-amplitude pruning - Algorithm 1 of the paper.
+"""Zero state-amplitude pruning - Algorithm 1 of the paper, line for line.
 
 A chunk of ``2^chunkSize`` amplitudes is indexed by the high ``n - chunkSize``
 qubit bits.  If the chunk index has a 1 in a position whose qubit is not yet
@@ -6,14 +6,11 @@ involved, every amplitude in the chunk is zero and the chunk is *pruned*: it
 is neither transferred to the GPU nor updated (a zero vector is unchanged by
 any unitary).
 
-Two implementations are provided:
-
-* :func:`iter_live_chunks` - a faithful transcription of Algorithm 1,
-  including its early-exit (``iChunk' > involvement``) and skip
-  (``iChunk' & involvement != iChunk'``) tests, used on the functional
-  chunked engine and in tests;
-* :func:`live_chunk_count` - the closed form ``2^(involved high bits)``
-  used by the timed executor, validated against the former.
+This module is the oracle the tests hold the engines to: a faithful
+transcription including Algorithm 1's early-exit (``iChunk' > involvement``)
+and skip (``iChunk' & involvement != iChunk'``) tests.  The executors and
+the functional engine take their live chunks from
+:meth:`repro.core.liveness.LiveTracker.subcube` instead.
 """
 
 from __future__ import annotations
@@ -47,26 +44,6 @@ def iter_live_chunks(
         if shifted & involvement != shifted:
             continue  # some chunk-index 1-bit sits at an uninvolved qubit
         yield chunk_index
-
-
-def live_chunk_count(num_qubits: int, chunk_bits: int, involvement: int) -> int:
-    """Closed form for the number of live (unpruned) chunks.
-
-    A chunk is live iff its index bits are a subset of the involvement bits
-    above ``chunk_bits``; there are ``2^popcount(involvement >> chunk_bits)``
-    such subsets.
-    """
-    if not 0 < chunk_bits <= num_qubits:
-        raise SimulationError(f"chunk_bits {chunk_bits} out of range")
-    high_involved = (involvement >> chunk_bits).bit_count()
-    return 1 << high_involved
-
-
-def live_amplitude_count(num_qubits: int, involvement: int) -> int:
-    """Amplitudes that can be non-zero: ``2^popcount(involvement)``."""
-    if involvement >> num_qubits:
-        raise SimulationError("involvement mask wider than the register")
-    return 1 << involvement.bit_count()
 
 
 def chunk_is_pruned(chunk_index: int, chunk_bits: int, involvement: int) -> bool:

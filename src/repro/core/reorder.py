@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import GateDag
-from repro.core.involvement import qubit_mask
+from repro.circuits.gates import qubit_mask
 from repro.errors import CircuitError
 
 

@@ -36,9 +36,8 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compression.profile import family_ratio
-from repro.core.basis_tracking import BasisTracker
 from repro.core.executor import TimedExecutor, TimedResult
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker, live_schedule
 from repro.core.reorder import reorder
 from repro.core.versions import QGPU, VersionConfig
 from repro.errors import (
@@ -59,7 +58,7 @@ from repro.statevector.chunks import ChunkedStateVector, chunk_pair_groups
 from repro.statevector.fusion import FusedGate, GateSlab, fuse_slabs, slab_members
 from repro.statevector.measure import sample_counts
 from repro.statevector.parallel import ParallelChunkEngine, resolve_workers
-from repro.statevector.subcube import LiveSubcube, outside_mask
+from repro.statevector.subcube import outside_mask
 
 
 @dataclass
@@ -219,7 +218,7 @@ class QGpuSimulator:
         single_norm_bound: float | None = None,
     ) -> None:
         # Imported lazily everywhere in this module: repro.planner imports
-        # repro.core.involvement, whose package __init__ imports this
+        # repro.core.liveness, whose package __init__ imports this
         # module - a top-level import would cycle.
         from repro.planner import (
             BACKEND_CHOICES,
@@ -535,12 +534,10 @@ class QGpuSimulator:
             # Cross-check the stored involvement mask against a replay of
             # the circuit prefix: a mismatch means the checkpoint belongs
             # to a different circuit/cursor than it claims.
-            replayed = InvolvementTracker(n)
-            for gate in ordered[: checkpoint.gate_cursor]:
-                replayed.involve(
-                    gate, diagonal_aware=self.version.diagonal_aware_pruning
-                )
-            if checkpoint.involvement_mask not in (0, replayed.mask):
+            replayed = LiveTracker(n, self.version.pruning)
+            for _ in live_schedule(ordered[: checkpoint.gate_cursor], replayed):
+                pass
+            if checkpoint.involvement_mask not in (0, replayed.involvement):
                 raise CheckpointError(
                     "checkpoint involvement mask does not match the replayed "
                     "circuit prefix - wrong circuit or corrupted metadata"
@@ -593,47 +590,25 @@ class QGpuSimulator:
         norm_tolerance = policy.norm_tolerance
         if state.dtype == np.complex64:
             norm_tolerance = max(norm_tolerance, self.single_norm_bound)
-        tracker = InvolvementTracker(n)
-        basis = BasisTracker(n) if self.version.basis_tracking_pruning else None
+        tracker = LiveTracker(n, self.version.pruning)
         total_updates = 0
         skipped_updates = 0
         interrupted_at: int | None = None
-        # Source index of the current op's first member gate: every cursor
-        # counts source gates and acts at the first op boundary at or past
-        # its value.
-        position = 0
 
         if cancel is not None:
             cancel.poll()
         try:
-            for op in ops:
-                if stop_after is not None and position >= stop_after:
-                    interrupted_at = position
+            # ``first`` is the source index of the op's first member gate:
+            # every cursor counts source gates and acts at the first op
+            # boundary at or past its value.
+            for op, first, _ in live_schedule(ops, tracker):
+                if stop_after is not None and first >= stop_after:
+                    interrupted_at = first
                     break
                 if cancel is not None:
                     cancel.poll()
-                first = position
-                members = slab_members(op)
-                position += len(members)
-                # A slab stands for its member gates: trackers observe
-                # each member (slabs only move amplitude within a group,
-                # so pruning with the post-slab mask stays exact).
-                for member in members:
-                    if basis is not None:
-                        basis.observe(member)
-                    tracker.involve(
-                        member, diagonal_aware=self.version.diagonal_aware_pruning
-                    )
-                if not self.version.pruning:
-                    live = LiveSubcube(n - state.chunk_bits)
-                elif basis is not None:
-                    live = LiveSubcube.from_fixed_qubits(
-                        n, state.chunk_bits, *basis.fixed_masks()
-                    )
-                else:
-                    live = LiveSubcube.from_involvement(
-                        n, state.chunk_bits, tracker.mask
-                    )
+                position = first + len(slab_members(op))
+                live = tracker.subcube(state.chunk_bits)
                 outside = outside_mask(op.qubits, state.chunk_bits)
                 groups_total, groups_live = live.group_counts(outside)
                 total_updates += groups_total
@@ -682,7 +657,7 @@ class QGpuSimulator:
                             checkpoint_path,
                             state,
                             gate_cursor=position,
-                            involvement_mask=tracker.mask,
+                            involvement_mask=tracker.involvement,
                             circuit_name=circuit.name,
                             version_name=self.version.name,
                         )

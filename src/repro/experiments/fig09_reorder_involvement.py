@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.analysis.asciiplot import line_plot
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.involvement import involvement_trace, live_fraction_trace
+from repro.core.liveness import involvement_trace, live_fraction_trace
 from repro.core.reorder import reorder
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.common import cached_circuit

@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.compression.gfc import compression_ratio
 from repro.compression.profile import live_region, measure_profile
 from repro.compression.residual import residual_stats
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.common import cached_circuit
 from repro.statevector.state import StateVector
@@ -41,13 +41,13 @@ def run(num_qubits: int = 16) -> ExperimentResult:
         circuit = cached_circuit(family, num_qubits)
         prefix = int(SNAPSHOT_FRACTION * len(circuit))
         state = StateVector(num_qubits)
-        tracker = InvolvementTracker(num_qubits)
+        tracker = LiveTracker(num_qubits)
         for gate in list(circuit)[:prefix]:
             state.apply(gate)
-            tracker.involve(gate)
+            tracker.observe(gate)
         # Residuals and ratios over the live (streamed) region only; the
         # pruned all-zero remainder never reaches the compressor.
-        live = live_region(state.amplitudes, tracker.mask)
+        live = live_region(state.amplitudes, tracker.involvement)
         res = residual_stats(live, tolerance=1e-3)
         snapshot_ratio = compression_ratio(live, num_segments=8)
         profile = measure_profile(family, num_qubits)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.compression.gfc import MICRO_CHUNK, compression_ratio
 from repro.compression.profile import live_region
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker
 from repro.experiments.base import ExperimentResult, register
 from repro.experiments.common import cached_circuit
 from repro.statevector.state import StateVector
@@ -36,11 +36,11 @@ def run() -> ExperimentResult:
         # Snapshot inside the diagonal stretch (the compressible regime),
         # compressing only the live (streamed) region as the runtime does.
         state = StateVector(CHUNK_QUBITS)
-        tracker = InvolvementTracker(CHUNK_QUBITS)
+        tracker = LiveTracker(CHUNK_QUBITS)
         for gate in list(circuit)[: int(0.7 * len(circuit))]:
             state.apply(gate)
-            tracker.involve(gate)
-        chunk = live_region(state.amplitudes, tracker.mask)
+            tracker.observe(gate)
+        chunk = live_region(state.amplitudes, tracker.involvement)
         doubles = 2 * chunk.size
         for segments in SEGMENT_COUNTS:
             ratio = compression_ratio(chunk, num_segments=segments)

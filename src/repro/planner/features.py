@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker
 from repro.errors import AnalysisError
 from repro.sparse.state import SparseState
 from repro.stabilizer import CLIFFORD_GATES, is_clifford_circuit
@@ -231,12 +231,11 @@ def analyze_circuit(
     spans = [max(g.qubits) - min(g.qubits) for g in multi]
 
     # Structural support bound and the dense pruning-window work integral.
-    tracker = InvolvementTracker(n)
+    tracker = LiveTracker(n)
     dense_ops = 0.0
     bound_ops = 0.0
     for gate in circuit:
-        tracker.involve(gate)
-        live = tracker.live_amplitudes
+        live = tracker.observe(gate)
         dense_ops += float(live)
         bound_ops += float(live) * (1 << gate.num_qubits)
     support_bound = min(tracker.live_amplitudes, 1 << n)

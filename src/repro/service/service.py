@@ -22,6 +22,7 @@ logical clock makes the exported metrics byte-identical across runs.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
@@ -31,9 +32,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.analysis.capacity import host_footprint_bytes
-from repro.core.planner import QGPU_BASIS_TRACKING, QGPU_DIAGONAL_AWARE
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import VERSIONS_BY_NAME, VersionConfig
+from repro.core.versions import (
+    QGPU_BASIS_TRACKING,
+    QGPU_DIAGONAL_AWARE,
+    VERSIONS_BY_NAME,
+    VersionConfig,
+)
 from repro.errors import (
     AdmissionError,
     FaultInjectionError,
@@ -273,6 +278,11 @@ class BatchService:
         self._jobs: dict[str, Job] = {}
         self._next_seq = self.journal.next_seq() if self.journal is not None else 1
         self._inflight: dict[str, str] = {}  # cache key -> running job id
+        # Job id -> the spec its runs execute: the submitted spec with the
+        # "auto" backend/precision the submit-time plan chose, so a run
+        # never plans (or counts a selection) again.  Jobs adopted from a
+        # journal run their submitted spec.
+        self._run_specs: dict[str, JobSpec] = {}
         self.supervision = (
             supervision if supervision is not None else SupervisionConfig()
         )
@@ -316,6 +326,7 @@ class BatchService:
             )
         circuit = spec.build_circuit()
         version = SERVICE_VERSIONS[spec.version]
+        run_spec = spec
         if spec.backend == "statevector" and spec.precision == "double":
             # The pre-planner path, byte-for-byte: dense footprint from
             # the capacity model, runtime from the timed DES model.
@@ -348,6 +359,13 @@ class BatchService:
             footprint = float(chosen.estimated_bytes)
             self.admission.check(footprint)
             estimated = chosen.estimated_seconds
+            run_spec = dataclasses.replace(
+                spec,
+                backend=chosen.backend if spec.backend == "auto" else spec.backend,
+                precision=(
+                    chosen.precision if spec.precision == "auto" else spec.precision
+                ),
+            )
         seq = self._next_seq
         self._next_seq += 1
         job = Job(
@@ -360,6 +378,7 @@ class BatchService:
             submitted_at=self.clock.tick(),
         )
         self._jobs[job.job_id] = job
+        self._run_specs[job.job_id] = run_spec
         self.metrics.count("jobs_submitted")
         if self.journal is not None:
             self.journal.record_submit(job)
@@ -603,7 +622,7 @@ class BatchService:
             futures[
                 pool.submit(
                     execute_job,
-                    job.spec,
+                    self._run_specs.get(job.job_id, job.spec),
                     self.machine,
                     self.sim_recovery,
                     self.sim_workers,

@@ -33,8 +33,7 @@ from itertools import islice
 
 import numpy as np
 
-from repro.circuits.gates import Gate
-from repro.statevector.subcube import qubit_mask
+from repro.circuits.gates import Gate, qubit_mask
 
 #: Amplitudes per dense tile: tile, gathered operand and matmul result
 #: stay L2-resident together (measured fastest at 2^14-2^15 across qubit

@@ -25,10 +25,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.circuits.gates import qubit_mask
 from repro.errors import SimulationError
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.statevector.kernels import sweep
-from repro.statevector.subcube import qubit_mask
 
 #: Below this many amplitudes threads cannot pay for their handoff:
 #: ``workers="auto"`` keeps a state this small serial, and a pool runs any

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import get_circuit
 from repro.core.detailed import DetailedExecutor
 from repro.core.executor import TimedExecutor
-from repro.core.versions import BASELINE, NAIVE, OVERLAP, PRUNING, QGPU
+from repro.core.liveness import LiveTracker, live_schedule
+from repro.core.reorder import reorder
+from repro.core.versions import (
+    BASELINE,
+    NAIVE,
+    OVERLAP,
+    PRUNING,
+    QGPU,
+    QGPU_BASIS_TRACKING,
+)
 from repro.errors import SimulationError
 from repro.hardware.machine import Machine
 from repro.hardware.specs import PAPER_MACHINE
@@ -80,6 +91,37 @@ class TestCrossValidation:
         # Both copy engines stay busy most of the makespan.
         assert run.timeline.utilization("h2d") > 0.5
         assert run.timeline.utilization("d2h") > 0.5
+
+
+class TestPruningRules:
+    """The DES walks the same live schedule as the engine, so every
+    pruning rule prunes there too."""
+
+    def test_basis_tracking_prunes_in_the_des(self) -> None:
+        # Basis-state qubits 6-11 stay fixed under X and rz: basis tracking
+        # keeps them pruned, Algorithm 1 involves them.
+        circuit = QuantumCircuit(12, name="flips_12")
+        for q in range(6, 12):
+            circuit.x(q)
+        circuit.h(0)
+        for q in range(6, 12):
+            circuit.rz(0.3, q)
+        executor = DetailedExecutor(
+            Machine(PAPER_MACHINE), chunk_bits=4, capacity_bytes=1 << 10
+        )
+        paper = executor.execute(circuit, QGPU)
+        basis = executor.execute(circuit, QGPU_BASIS_TRACKING)
+        assert basis.chunks_pruned > paper.chunks_pruned
+
+        streamed = Counter()
+        for name, record in basis.timeline.records.items():
+            if name.endswith("/in"):
+                streamed[int(name[1 : name.index("b")])] += record.task.meta["chunks"]
+        ordered = reorder(circuit, QGPU_BASIS_TRACKING.reorder_strategy)
+        tracker = LiveTracker(circuit.num_qubits, QGPU_BASIS_TRACKING.pruning)
+        for _, index, _ in live_schedule(ordered, tracker):
+            assert streamed[index] == tracker.subcube(4).live_chunks, index
+        assert len(streamed) == len(ordered)
 
 
 class TestValidation:

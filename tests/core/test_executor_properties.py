@@ -83,13 +83,12 @@ def test_more_gpus_never_slower(family: str, counts: tuple[int, int]) -> None:
 @settings(max_examples=10, deadline=None)
 @given(
     family=family_strategy,
-    diagonal_aware=st.booleans(),
+    rule=st.sampled_from(["involvement", "diagonal"]),
 )
-def test_extension_flags_never_hurt(family: str, diagonal_aware: bool) -> None:
+def test_extension_flags_never_hurt(family: str, rule: str) -> None:
     circuit = get_circuit(family, 31)
     base = EXECUTOR.execute(circuit, PRUNING).total_seconds
     extended = VersionConfig(
-        "ext", dynamic_allocation=True, overlap=True, pruning=True,
-        diagonal_aware_pruning=diagonal_aware,
+        "ext", dynamic_allocation=True, overlap=True, pruning=rule,
     )
     assert EXECUTOR.execute(circuit, extended).total_seconds <= base * 1.001

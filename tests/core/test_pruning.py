@@ -1,7 +1,9 @@
 """Tests for Algorithm 1 (zero state-amplitude pruning).
 
-The decisive test: Algorithm 1's pruned chunks must actually be all-zero in
-a real simulation at every step of every benchmark circuit.
+The line-for-line transcription in :mod:`repro.core.pruning` is the oracle:
+the liveness tracker's subcube must name exactly its live chunks, and its
+pruned chunks must actually be all-zero in a real simulation at every step
+of every benchmark circuit.
 """
 
 from __future__ import annotations
@@ -11,31 +13,38 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.circuits.gates import Gate
 from repro.circuits.library import FAMILIES, get_circuit
-from repro.core.involvement import InvolvementTracker
-from repro.core.pruning import (
-    chunk_is_pruned,
-    iter_live_chunks,
-    live_amplitude_count,
-    live_chunk_count,
-)
+from repro.core.liveness import LiveTracker
+from repro.core.pruning import chunk_is_pruned, iter_live_chunks
 from repro.errors import SimulationError
 from repro.statevector.chunks import ChunkedStateVector
 
 
-class TestClosedForm:
+def _tracker(num_qubits: int, involvement: int) -> LiveTracker:
+    """An Algorithm 1 tracker that has involved exactly ``involvement``."""
+    tracker = LiveTracker(num_qubits)
+    for q in range(num_qubits):
+        if involvement >> q & 1:
+            tracker.observe(Gate("h", (q,)))
+    return tracker
+
+
+class TestSubcubeAgainstTranscription:
     @given(
         num_qubits=st.integers(2, 12),
         chunk_bits=st.integers(1, 6),
         involvement=st.integers(0, (1 << 12) - 1),
     )
-    def test_count_matches_enumeration(
+    def test_subcube_members_match_enumeration(
         self, num_qubits: int, chunk_bits: int, involvement: int
     ) -> None:
         chunk_bits = min(chunk_bits, num_qubits)
         involvement &= (1 << num_qubits) - 1
         enumerated = list(iter_live_chunks(num_qubits, chunk_bits, involvement))
-        assert len(enumerated) == live_chunk_count(num_qubits, chunk_bits, involvement)
+        live = _tracker(num_qubits, involvement).subcube(chunk_bits)
+        assert list(live) == enumerated
+        assert live.live_chunks == len(enumerated)
 
     @given(
         num_qubits=st.integers(2, 12),
@@ -55,25 +64,26 @@ class TestClosedForm:
 
     def test_no_involvement_keeps_only_chunk_zero(self) -> None:
         assert list(iter_live_chunks(6, 2, 0)) == [0]
+        assert list(_tracker(6, 0).subcube(2)) == [0]
 
     def test_full_involvement_keeps_everything(self) -> None:
         assert list(iter_live_chunks(6, 2, 0b111111)) == list(range(16))
+        assert list(_tracker(6, 0b111111).subcube(2)) == list(range(16))
 
     def test_half_involvement_halves_chunks(self) -> None:
         # One uninvolved qubit above the chunk boundary halves live chunks.
-        assert live_chunk_count(6, 2, 0b101111) == 8
+        assert len(list(iter_live_chunks(6, 2, 0b101111))) == 8
+        assert _tracker(6, 0b101111).subcube(2).live_chunks == 8
 
-    def test_live_amplitude_count(self) -> None:
-        assert live_amplitude_count(6, 0) == 1
-        assert live_amplitude_count(6, 0b101) == 4
+    def test_live_amplitudes(self) -> None:
+        assert _tracker(6, 0).live_amplitudes == 1
+        assert _tracker(6, 0b101).live_amplitudes == 4
 
     def test_validation(self) -> None:
         with pytest.raises(SimulationError):
-            live_chunk_count(4, 0, 0)
-        with pytest.raises(SimulationError):
-            live_amplitude_count(2, 0b100)
-        with pytest.raises(SimulationError):
             list(iter_live_chunks(4, 5, 0))
+        with pytest.raises(SimulationError):
+            list(iter_live_chunks(2, 1, 0b100))
 
 
 class TestAgainstRealStates:
@@ -84,16 +94,17 @@ class TestAgainstRealStates:
         num_qubits, chunk_bits = 8, 3
         circuit = get_circuit(family, num_qubits)
         state = ChunkedStateVector(num_qubits, chunk_bits)
-        tracker = InvolvementTracker(num_qubits)
+        tracker = LiveTracker(num_qubits)
         for gate in circuit:
             state.apply(gate)
-            tracker.involve(gate)
-            live = set(iter_live_chunks(num_qubits, chunk_bits, tracker.mask))
+            tracker.observe(gate)
+            live = list(iter_live_chunks(num_qubits, chunk_bits, tracker.involvement))
+            assert list(tracker.subcube(chunk_bits)) == live
             for chunk in range(state.num_chunks):
                 if chunk not in live:
                     assert state.chunk_is_zero(chunk), (
                         f"{family}: chunk {chunk} pruned but non-zero "
-                        f"(involvement {tracker.mask:b})"
+                        f"(involvement {tracker.involvement:b})"
                     )
 
     def test_live_amplitude_bound_is_tight_for_ghz(self) -> None:
@@ -107,4 +118,4 @@ class TestAgainstRealStates:
             circuit.cx(q, q + 1)
         state = simulate(circuit)
         nonzero = int(np.count_nonzero(state.amplitudes))
-        assert nonzero <= live_amplitude_count(4, 0b1111)
+        assert nonzero <= _tracker(4, 0b1111).live_amplitudes

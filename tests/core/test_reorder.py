@@ -16,7 +16,7 @@ from repro.statevector.state import simulate
 
 
 def mean_live_fraction(circuit: QuantumCircuit) -> float:
-    from repro.core.involvement import live_fraction_trace
+    from repro.core.liveness import live_fraction_trace
 
     trace = live_fraction_trace(circuit)
     return sum(trace) / len(trace)

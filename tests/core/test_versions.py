@@ -11,6 +11,8 @@ from repro.core.versions import (
     OVERLAP,
     PRUNING,
     QGPU,
+    QGPU_BASIS_TRACKING,
+    QGPU_DIAGONAL_AWARE,
     REORDER,
     VERSIONS_BY_NAME,
     VersionConfig,
@@ -62,18 +64,31 @@ class TestPresets:
 class TestValidation:
     def test_overlap_requires_dynamic(self) -> None:
         with pytest.raises(SimulationError):
-            VersionConfig("bad", dynamic_allocation=False, overlap=True, pruning=False)
+            VersionConfig("bad", dynamic_allocation=False, overlap=True)
 
     def test_unknown_reorder_strategy(self) -> None:
         with pytest.raises(SimulationError):
             VersionConfig(
-                "bad", dynamic_allocation=True, overlap=True, pruning=True,
+                "bad", dynamic_allocation=True, overlap=True, pruning="involvement",
                 reorder_strategy="mystery",
             )
 
     def test_custom_ablation_config(self) -> None:
         config = VersionConfig(
-            "ablate", dynamic_allocation=True, overlap=True, pruning=True,
-            diagonal_aware_pruning=True,
+            "ablate", dynamic_allocation=True, overlap=True, pruning="diagonal",
         )
-        assert config.diagonal_aware_pruning
+        assert config.pruning == "diagonal"
+
+    @pytest.mark.parametrize("pruning", [True, False, "", "Involvement", "diag"])
+    def test_unknown_pruning_rule(self, pruning) -> None:
+        with pytest.raises(SimulationError, match="pruning rule"):
+            VersionConfig(
+                "bad", dynamic_allocation=True, overlap=True, pruning=pruning,
+            )
+
+    def test_four_pruning_settings(self) -> None:
+        # One field, four meaningful values: off and the three rules.
+        assert {v.pruning for v in (*ALL_VERSIONS, QGPU_DIAGONAL_AWARE,
+                                    QGPU_BASIS_TRACKING)} == {
+            None, "involvement", "diagonal", "basis",
+        }

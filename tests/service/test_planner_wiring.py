@@ -18,6 +18,7 @@ from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
 from repro.errors import ServiceError
 from repro.hardware.specs import MACHINES
+from repro.obs import Tracer
 from repro.reliability.policy import DEFAULT_POLICY
 from repro.service import BatchService, JobStore
 from repro.service.job import JobResult, JobSpec, cache_key
@@ -197,6 +198,36 @@ class TestServiceSubmission:
         snapshot = service.run_until_complete()
         assert snapshot["counters"]["jobs_succeeded"] == 2
         assert snapshot["counters"].get("planner.selected.stabilizer", 0) >= 1
+
+    def test_each_auto_job_is_planned_once(self) -> None:
+        # Submit plans and counts the selection; the run executes the
+        # backend and precision chosen there instead of planning again.
+        tracer = Tracer()
+        service = BatchService(machine=P100, workers=1, tracer=tracer)
+        specs = [
+            JobSpec(family=family, qubits=qubits, shots=64, backend="auto")
+            for family, qubits in (("bv", 8), ("qft", 9), ("rqc", 10))
+        ]
+        jobs = [service.submit(spec) for spec in specs]
+        snapshot = service.run_until_complete()
+        selected = {
+            name: count
+            for name, count in snapshot["counters"].items()
+            if name.startswith("planner.selected.")
+        }
+        assert selected == {
+            "planner.selected.stabilizer": 1,
+            "planner.selected.statevector": 2,
+        }
+        assert [job.result.state_sha256[:16] for job in jobs] == [
+            "31016329de073166", "cd92d87f1cad6e0b", "7a7d5a202f69b11b",
+        ]
+        for job, spec in zip(jobs, specs):
+            assert job.spec == spec  # cache key and journal see the submission
+            replanned = execute_job(spec, P100, DEFAULT_POLICY)
+            assert job.result.state_sha256 == replanned.state_sha256
+            assert job.result.counts == replanned.counts
+            assert job.result.backend == replanned.backend
 
     def test_auto_and_explicit_jobs_do_not_share_cache(self) -> None:
         service = BatchService(machine=P100, workers=1)

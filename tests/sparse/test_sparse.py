@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import FAMILIES, get_circuit
 from repro.circuits.library.extensions import ghz
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker
 from repro.errors import SimulationError
 from repro.sparse import SparseState, simulate_sparse
 from repro.statevector.state import simulate
@@ -77,10 +77,10 @@ class TestSupportTracking:
     def test_support_never_exceeds_involvement_bound(self) -> None:
         for family in ("gs", "iqp", "bv", "qft"):
             circuit = get_circuit(family, 9)
-            tracker = InvolvementTracker(9)
+            tracker = LiveTracker(9)
             state = SparseState(9)
             for gate in circuit:
-                tracker.involve(gate)
+                tracker.observe(gate)
                 state.apply(gate)
                 assert state.support_size <= tracker.live_amplitudes, family
 

@@ -1,21 +1,23 @@
 """The live-subcube descriptor and the sweep kernel against the per-chunk
-reference (``chunk_pair_groups`` + ``chunk_is_pruned`` + ``apply_groups``)."""
+reference (``chunk_pair_groups`` + a per-chunk pruning test + ``apply_groups``)."""
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.circuits.gates import Gate
 from repro.circuits.library import get_circuit
-from repro.core.basis_tracking import BasisTracker, QubitState
-from repro.core.involvement import InvolvementTracker
+from repro.core.liveness import LiveTracker
 from repro.core.pruning import chunk_is_pruned
 from repro.core.reorder import reorder
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import ALL_VERSIONS, QGPU
+from repro.core.versions import (
+    ALL_VERSIONS,
+    QGPU,
+    QGPU_BASIS_TRACKING,
+    QGPU_DIAGONAL_AWARE,
+)
 from repro.errors import JobCancelled, SimulationError
 from repro.obs import Tracer
 from repro.reliability.cancellation import CancellationToken
@@ -31,15 +33,7 @@ FAMILIES = ("bv", "gs", "hchain", "hlf", "iqp", "qaoa", "qf", "qft", "rqc")
 
 #: The paper's six versions plus the two pruning extensions, so the
 #: basis-tracking descriptor (non-zero fixed values) is swept too.
-VERSIONS = ALL_VERSIONS + (
-    dataclasses.replace(QGPU, name="diag-aware", diagonal_aware_pruning=True),
-    dataclasses.replace(
-        QGPU,
-        name="basis",
-        diagonal_aware_pruning=True,
-        basis_tracking_pruning=True,
-    ),
-)
+VERSIONS = ALL_VERSIONS + (QGPU_DIAGONAL_AWARE, QGPU_BASIS_TRACKING)
 
 SENTINEL = 7.0 - 3.0j
 
@@ -76,20 +70,36 @@ def _random_op(rng, num_qubits: int, chunk_bits: int, outside: int):
     )[0]
 
 
+def _basis_pruned(chunk_bits: int, free: int, value: int):
+    """Per-chunk test: some index bit disagrees with a fixed qubit."""
+    def pruned(chunk: int) -> bool:
+        index = chunk << chunk_bits
+        fixed = ~free & ~((1 << chunk_bits) - 1)
+        return index & fixed != value & fixed
+    return pruned
+
+
 def _random_descriptor(rng, num_qubits: int, chunk_bits: int):
     """``(LiveSubcube, per-chunk pruned predicate)`` from a random tracker."""
     if rng.random() < 0.5:
-        mask = int(rng.integers(0, 1 << num_qubits))
-        live = LiveSubcube.from_involvement(num_qubits, chunk_bits, mask)
-        return live, lambda chunk: chunk_is_pruned(chunk, chunk_bits, mask)
-    states = [
-        QubitState(int(rng.choice([0, 1, 2, 2]))) for _ in range(num_qubits)
-    ]
-    tracker = BasisTracker(num_qubits, states)
-    live = LiveSubcube.from_fixed_qubits(
-        num_qubits, chunk_bits, *tracker.fixed_masks()
+        tracker = LiveTracker(num_qubits)
+        for q in range(num_qubits):
+            if rng.random() < 0.5:
+                tracker.observe(Gate("h", (q,)))
+        mask = tracker.involvement
+        return (
+            tracker.subcube(chunk_bits),
+            lambda chunk: chunk_is_pruned(chunk, chunk_bits, mask),
+        )
+    # Each qubit fixed at |0>, fixed at |1> or free, half of them free.
+    tracker = LiveTracker(num_qubits, "basis")
+    for q in range(num_qubits):
+        state = int(rng.choice([0, 1, 2, 2]))
+        if state:
+            tracker.observe(Gate("x" if state == 1 else "h", (q,)))
+    return tracker.subcube(chunk_bits), _basis_pruned(
+        chunk_bits, tracker.free, tracker.value
     )
-    return live, lambda chunk: tracker.chunk_is_pruned(chunk, chunk_bits)
 
 
 def _enumerated_live_groups(num_qubits, chunk_bits, qubits, pruned):
@@ -263,23 +273,19 @@ def _reference_run(circuit, version, dtype):
     ordered = reorder(circuit, version.reorder_strategy)
     ops = fuse_slabs(list(ordered), chunk_bits=chunk_bits)
     state = ChunkedStateVector(n, chunk_bits, dtype=dtype)
-    tracker = InvolvementTracker(n)
-    basis = BasisTracker(n) if version.basis_tracking_pruning else None
+    tracker = LiveTracker(n, version.pruning)
     total = skipped = 0
     for op in ops:
         for member in slab_members(op):
-            if basis is not None:
-                basis.observe(member)
-            tracker.involve(member, diagonal_aware=version.diagonal_aware_pruning)
+            tracker.observe(member)
         groups = chunk_pair_groups(n, chunk_bits, op.qubits)
         total += len(groups)
         if version.pruning:
-            if basis is not None:
-                def pruned(chunk):
-                    return basis.chunk_is_pruned(chunk, chunk_bits)
+            if version.pruning == "basis":
+                pruned = _basis_pruned(chunk_bits, tracker.free, tracker.value)
             else:
                 def pruned(chunk):
-                    return chunk_is_pruned(chunk, chunk_bits, tracker.mask)
+                    return chunk_is_pruned(chunk, chunk_bits, tracker.involvement)
             live = [g for g in groups if not all(pruned(m) for m in g)]
             skipped += len(groups) - len(live)
             groups = live

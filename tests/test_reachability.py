@@ -41,6 +41,11 @@ ROOT_MODULES = (
 #: Modules no door reaches on purpose.  Each is a reference the tests check
 #: an engine against; importing one from a door would be a defect.
 ORACLES = {
+    "repro.core.pruning": (
+        "line-for-line transcription of Algorithm 1 (iter_live_chunks, "
+        "chunk_is_pruned) that the liveness tracker's subcube is checked "
+        "against"
+    ),
     "repro.circuits.equivalence": (
         "unitary and final-state equivalence checks that certify transpiler "
         "and reorder passes in the tests"
