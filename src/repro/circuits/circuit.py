@@ -31,6 +31,7 @@ class QuantumCircuit:
         self.num_qubits = num_qubits
         self.name = name
         self._gates: list[Gate] = []
+        self._fingerprint: str | None = None
 
     # -- container protocol -------------------------------------------------
 
@@ -72,6 +73,7 @@ class QuantumCircuit:
                     f"{self.num_qubits} qubits"
                 )
         self._gates.append(gate)
+        self._fingerprint = None
         return self
 
     def add(self, name: str, *qubits: int, params: Sequence[float] = ()) -> "QuantumCircuit":
@@ -171,15 +173,19 @@ class QuantumCircuit:
         deliberately excluded so renamed copies of the same circuit hash
         equal.  Parameters are hashed via their IEEE-754 shortest ``repr``,
         so any representable perturbation changes the digest.  Used as the
-        content-address for the service result cache.
+        content-address for the service result cache and the reorder memo.
+        The digest is cached on the instance until the next ``append``.
         """
+        if self._fingerprint is not None:
+            return self._fingerprint
         hasher = hashlib.sha256()
         hasher.update(f"qgpu-circuit-v1:{self.num_qubits}\n".encode())
         for gate in self._gates:
             qubits = ",".join(str(q) for q in gate.qubits)
             params = ",".join(repr(float(p)) for p in gate.params)
             hasher.update(f"{gate.name}|{qubits}|{params}\n".encode())
-        return hasher.hexdigest()
+        self._fingerprint = hasher.hexdigest()
+        return self._fingerprint
 
     def gate_counts(self) -> dict[str, int]:
         """Histogram of gate mnemonics."""

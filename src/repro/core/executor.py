@@ -251,6 +251,42 @@ class TimedExecutor:
         bits = max(self.chunk_bits, n - MAX_CHUNK_COUNT_BITS)
         return min(bits, n)
 
+    @staticmethod
+    def _static_split(
+        outside: tuple[int, ...],
+        indices: np.ndarray,
+        gpu_chunks: int,
+        cpu_chunks: int,
+        chunk_amps: int,
+    ) -> tuple[int, int, int]:
+        """``(gpu_amps, cpu_amps, moved_chunks)`` of a gate whose qubits
+        above the chunk boundary are ``outside`` (chunk-index bits)."""
+        if not outside:
+            # Case 1: every chunk updates where it lives.
+            return gpu_chunks * chunk_amps, cpu_chunks * chunk_amps, 0
+        outside_mask = 0
+        for bit in outside:
+            outside_mask |= 1 << bit
+        bases = indices[(indices & outside_mask) == 0]
+        selectors = np.zeros(1 << len(outside), dtype=np.int64)
+        for position, bit in enumerate(outside):
+            selectors |= (
+                (np.arange(1 << len(outside)) >> position & 1) << bit
+            )
+        members = bases[:, None] | selectors[None, :]
+        on_gpu = members < gpu_chunks
+        gpu_members = on_gpu.sum(axis=1)
+        group_size = members.shape[1]
+        all_cpu = int((gpu_members == 0).sum())
+        all_gpu = int((gpu_members == group_size).sum())
+        mixed = members.shape[0] - all_cpu - all_gpu
+        moved_chunks = int(
+            (~on_gpu[(gpu_members > 0) & (gpu_members < group_size)]).sum()
+        )
+        gpu_amps = (all_gpu + mixed) * group_size * chunk_amps
+        cpu_amps = all_cpu * group_size * chunk_amps
+        return gpu_amps, cpu_amps, moved_chunks
+
     def _execute_static(self, ops: list, n: int, result: TimedResult) -> None:
         machine = self.machine
         state_bytes = AMP_BYTES << n
@@ -268,36 +304,18 @@ class TimedExecutor:
         gpu_chunks = min(num_chunks, capacity // chunk_bytes)
         cpu_chunks = num_chunks - gpu_chunks
         indices = np.arange(num_chunks, dtype=np.int64)
+        # The chunk-group split depends only on which bits above the chunk
+        # boundary a gate touches, so each pattern is derived once.
+        splits: dict[tuple[int, ...], tuple[int, int, int]] = {}
 
         for index, gate in enumerate(ops):
-            outside = sorted(q - m for q in gate.qubits if q >= m)
-            if not outside:
-                # Case 1: every chunk updates where it lives.
-                gpu_amps = gpu_chunks * chunk_amps
-                cpu_amps = cpu_chunks * chunk_amps
-                moved_chunks = 0
-            else:
-                outside_mask = 0
-                for bit in outside:
-                    outside_mask |= 1 << bit
-                bases = indices[(indices & outside_mask) == 0]
-                selectors = np.zeros(1 << len(outside), dtype=np.int64)
-                for position, bit in enumerate(outside):
-                    selectors |= (
-                        (np.arange(1 << len(outside)) >> position & 1) << bit
-                    )
-                members = bases[:, None] | selectors[None, :]
-                on_gpu = members < gpu_chunks
-                gpu_members = on_gpu.sum(axis=1)
-                group_size = members.shape[1]
-                all_cpu = int((gpu_members == 0).sum())
-                all_gpu = int((gpu_members == group_size).sum())
-                mixed = members.shape[0] - all_cpu - all_gpu
-                moved_chunks = int(
-                    (~on_gpu[(gpu_members > 0) & (gpu_members < group_size)]).sum()
+            outside = tuple(sorted(q - m for q in gate.qubits if q >= m))
+            split = splits.get(outside)
+            if split is None:
+                split = splits[outside] = self._static_split(
+                    outside, indices, gpu_chunks, cpu_chunks, chunk_amps
                 )
-                gpu_amps = (all_gpu + mixed) * group_size * chunk_amps
-                cpu_amps = all_cpu * group_size * chunk_amps
+            gpu_amps, cpu_amps, moved_chunks = split
 
             diagonal = gate.is_diagonal
             k = gate.num_qubits
@@ -477,6 +495,13 @@ class TimedExecutor:
         # entirely in device memory stays resident.
         whole_state_resident = (AMP_BYTES << n) <= total_capacity
         resident_live_bytes = 0.0
+        # Without a fault plan a gate's record depends only on its class -
+        # the amplitudes it touches, the DMA runs they span, its width and
+        # whether it is diagonal - so each class is priced once and its
+        # record replayed, adding the same floats in the same order.  A
+        # fault plan keys degradation and retries on the gate index, so
+        # those runs price every gate.
+        prices: dict[tuple[int, int, int, bool], tuple[float, GateTiming]] = {}
 
         for gate, index, touched in live_schedule(ops, tracker):
             live_amps = touched  # amplitudes; ROADMAP item 12 prices whole live chunks
@@ -486,24 +511,36 @@ class TimedExecutor:
             high_bits = tracker.free >> chunk_bits
             trailing = (~high_bits & (high_bits + 1)).bit_length() - 1
             copy_runs = 1 << max(0, high_bits.bit_count() - trailing)
-            live_fraction = live_amps / (1 << n)
             live_bytes = AMP_BYTES * live_amps
+            if whole_state_resident:
+                resident_live_bytes = live_bytes
             k = gate.num_qubits
             diagonal = gate.is_diagonal
+            key = (live_amps, copy_runs, k, diagonal)
+            if key in prices:
+                flops, priced = prices[key]
+                result.gpu_flops += flops
+                result.gpu_bytes_touched += 2 * AMP_BYTES * live_amps
+                result.add(
+                    GateTiming(**vars(priced) | {"index": index, "name": gate.name})
+                )
+                continue
+            live_fraction = live_amps / (1 << n)
             kernel_time = machine.gpu_compute_time(live_amps / num_gpus, k, diagonal)
-            result.gpu_flops += machine.gate_flops(live_amps, k, diagonal)
+            flops = machine.gate_flops(live_amps, k, diagonal)
+            result.gpu_flops += flops
             result.gpu_bytes_touched += 2 * AMP_BYTES * live_amps
 
             if whole_state_resident:
                 # Resident across GPUs; newly live chunks are zero-filled
                 # on device (cudaMemset), so nothing moves.
-                resident_live_bytes = live_bytes
-                result.add(
-                    GateTiming(
-                        index=index, name=gate.name, seconds=kernel_time,
-                        gpu_seconds=kernel_time, live_fraction=live_fraction,
-                    )
+                timing = GateTiming(
+                    index=index, name=gate.name, seconds=kernel_time,
+                    gpu_seconds=kernel_time, live_fraction=live_fraction,
                 )
+                if plan is None:
+                    prices[key] = flops, timing
+                result.add(timing)
                 continue
 
             ratio = compression_ratio if compression_on else 1.0
@@ -545,21 +582,22 @@ class TimedExecutor:
             compute_busy = batches * stage.compute
             transfer_exposed = max(0.0, seconds - retry_seconds - compute_busy)
             codec_seconds = batches * codec_per_batch
-            result.add(
-                GateTiming(
-                    index=index,
-                    name=gate.name,
-                    seconds=seconds,
-                    gpu_seconds=kernel_time,
-                    transfer_seconds=transfer_exposed,
-                    codec_seconds=codec_seconds,
-                    retry_seconds=retry_seconds,
-                    bytes_h2d=stream_bytes * batches * num_gpus,
-                    bytes_d2h=stream_bytes * batches * num_gpus,
-                    live_fraction=live_fraction,
-                    faults=gate_faults,
-                )
+            timing = GateTiming(
+                index=index,
+                name=gate.name,
+                seconds=seconds,
+                gpu_seconds=kernel_time,
+                transfer_seconds=transfer_exposed,
+                codec_seconds=codec_seconds,
+                retry_seconds=retry_seconds,
+                bytes_h2d=stream_bytes * batches * num_gpus,
+                bytes_d2h=stream_bytes * batches * num_gpus,
+                live_fraction=live_fraction,
+                faults=gate_faults,
             )
+            if plan is None:
+                prices[key] = flops, timing
+            result.add(timing)
 
         if resident_live_bytes:
             # Terminal readout of the still-resident live set.

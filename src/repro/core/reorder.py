@@ -21,6 +21,9 @@ bit-identical to the original order (validated in the test suite).
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.dag import GateDag
 from repro.circuits.gates import qubit_mask
@@ -36,19 +39,8 @@ def _node_masks(dag: GateDag) -> list[int]:
     return [qubit_mask(node.gate.qubits) for node in dag.nodes]
 
 
-def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> QuantumCircuit:
-    """Greedy reordering (Algorithm 2).
-
-    Args:
-        circuit: Circuit to reorder.
-        commute_diagonals: Build the DAG with the diagonal-commutation
-            relaxation (ablation option; the paper uses the conservative
-            DAG).
-
-    Returns:
-        A new circuit whose gate order respects every dependency.
-    """
-    dag = GateDag(circuit, commute_diagonals=commute_diagonals)
+def _greedy_order(dag: GateDag) -> list[int]:
+    """Algorithm 2's schedule: node indices in execution order."""
     pending = {node.index: len(node.predecessors) for node in dag}
     ready = dag.roots()
     masks = _node_masks(dag)
@@ -72,61 +64,74 @@ def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> 
             pending[successor] -= 1
             if pending[successor] == 0:
                 ready.append(successor)
-
-    if len(order) != len(dag):  # pragma: no cover - DAG is acyclic by build
-        raise CircuitError("reordering failed to schedule every gate")
-    return circuit.with_gates(
-        (dag.nodes[index].gate for index in order), suffix=""
-    )
+    return order
 
 
-def _look_ahead_cost(
-    dag: GateDag,
-    masks: list[int],
-    candidate: int,
-    ready: list[int],
-    pending: dict[int, int],
-    involved: int,
-) -> tuple[int, int]:
-    """Cost of Algorithm 3: new qubits now plus the cheapest next step.
+def _forward_looking_order(dag: GateDag) -> list[int]:
+    """Algorithm 3's schedule: node indices in execution order.
 
-    Returns ``(total cost, current cost)``: ties on the total prefer the
-    gate that is free *right now* (the paper's Fig. 8c trace executes the
-    zero-cost CNOT before an equal-total Hadamard).  Operates on copies;
-    caller state is untouched.
+    Each ready gate ``c`` is ranked by ``(costCurrent + costLookAhead,
+    costCurrent)``, ties by circuit position; a tie on the total prefers
+    the gate that is free *right now* (the paper's Fig. 8c trace executes
+    the zero-cost CNOT before an equal-total Hadamard).  The look-ahead is
+    the fewest new qubits any gate ready after ``c`` would introduce: the
+    other ready gates plus ``c``'s successors that ``c`` alone still
+    blocks.
+
+    Against ``involved | mask[c]`` a ready gate ``i`` introduces
+    ``popcount(u_i & ~mask[c])`` new qubits, where ``u_i = mask[i] &
+    ~involved``.  So the ready gates are counted once per step by their
+    distinct ``u_i`` with multiplicity, and each candidate takes the
+    minimum over those, skipping its own ``u_c`` only when no other ready
+    gate shares it (a shared one costs 0, since ``u_c & ~mask[c]`` is
+    empty).
     """
-    cost_current = (masks[candidate] & ~involved).bit_count()
-    uninvolved_after = ~(involved | masks[candidate])
-
-    next_ready = [index for index in ready if index != candidate]
-    for successor in dag.nodes[candidate].successors:
-        if pending[successor] == 1:
-            next_ready.append(successor)
-
-    cost_look_ahead = 0
-    if next_ready:
-        cost_look_ahead = min(
-            (masks[index] & uninvolved_after).bit_count() for index in next_ready
-        )
-    return cost_current + cost_look_ahead, cost_current
-
-
-def reorder_forward_looking(
-    circuit: QuantumCircuit, commute_diagonals: bool = False
-) -> QuantumCircuit:
-    """Forward-looking reordering (Algorithm 3)."""
-    dag = GateDag(circuit, commute_diagonals=commute_diagonals)
     pending = {node.index: len(node.predecessors) for node in dag}
     ready = dag.roots()
     masks = _node_masks(dag)
+    successors = [sorted(node.successors) for node in dag.nodes]
     involved = 0
     order: list[int] = []
 
     while ready:
+        uninvolved = ~involved
+        counts: dict[int, int] = {}
+        for index in ready:
+            fresh = masks[index] & uninvolved
+            counts[fresh] = counts.get(fresh, 0) + 1
+        # Fewest new qubits first: ``fresh`` loses at most ``own`` to the
+        # candidate's mask, so once ``popcount(fresh) - popcount(own)``
+        # reaches the running minimum no later class can lower it.
+        classes = sorted(
+            (fresh.bit_count(), fresh, count) for fresh, count in counts.items()
+        )
         best_index = None
         best_cost = None
         for index in ready:
-            cost = _look_ahead_cost(dag, masks, index, ready, pending, involved)
+            mask = masks[index]
+            own = mask & uninvolved
+            cost_current = own.bit_count()
+            look_ahead = None
+            for weight, fresh, count in classes:
+                if look_ahead is not None and weight - cost_current >= look_ahead:
+                    break
+                if fresh == own and count == 1:
+                    continue
+                new = (fresh & ~mask).bit_count()
+                if look_ahead is None or new < look_ahead:
+                    look_ahead = new
+                    if new == 0:
+                        break
+            if look_ahead != 0:
+                uninvolved_after = uninvolved & ~mask
+                for successor in successors[index]:
+                    if pending[successor] == 1:
+                        new = (masks[successor] & uninvolved_after).bit_count()
+                        if look_ahead is None or new < look_ahead:
+                            look_ahead = new
+                            if new == 0:
+                                break
+            cost = (cost_current + (look_ahead or 0), cost_current)
             if best_cost is None or cost < best_cost or (
                 cost == best_cost and index < best_index
             ):
@@ -135,23 +140,62 @@ def reorder_forward_looking(
         ready.remove(best_index)
         order.append(best_index)
         involved |= masks[best_index]
-        for successor in sorted(dag.nodes[best_index].successors):
+        for successor in successors[best_index]:
             pending[successor] -= 1
             if pending[successor] == 0:
                 ready.append(successor)
+    return order
 
+
+_ORDERS = {"greedy": _greedy_order, "forward_looking": _forward_looking_order}
+
+
+def _schedule(
+    circuit: QuantumCircuit, strategy: str, commute_diagonals: bool
+) -> list[int]:
+    dag = GateDag(circuit, commute_diagonals=commute_diagonals)
+    order = _ORDERS[strategy](dag)
     if len(order) != len(dag):  # pragma: no cover - DAG is acyclic by build
         raise CircuitError("reordering failed to schedule every gate")
-    return circuit.with_gates(
-        (dag.nodes[index].gate for index in order), suffix=""
+    return order
+
+
+def _permuted(circuit: QuantumCircuit, order) -> QuantumCircuit:
+    gates = circuit.gates
+    return circuit.with_gates((gates[index] for index in order), suffix="")
+
+
+def reorder_greedy(circuit: QuantumCircuit, commute_diagonals: bool = False) -> QuantumCircuit:
+    """Greedy reordering (Algorithm 2).
+
+    Args:
+        circuit: Circuit to reorder.
+        commute_diagonals: Build the DAG with the diagonal-commutation
+            relaxation (ablation option; the paper uses the conservative
+            DAG).
+
+    Returns:
+        A new circuit whose gate order respects every dependency.
+    """
+    return _permuted(circuit, _schedule(circuit, "greedy", commute_diagonals))
+
+
+def reorder_forward_looking(
+    circuit: QuantumCircuit, commute_diagonals: bool = False
+) -> QuantumCircuit:
+    """Forward-looking reordering (Algorithm 3)."""
+    return _permuted(
+        circuit, _schedule(circuit, "forward_looking", commute_diagonals)
     )
 
 
-STRATEGIES = {
-    "original": lambda circuit, commute_diagonals=False: circuit,
-    "greedy": reorder_greedy,
-    "forward_looking": reorder_forward_looking,
-}
+STRATEGIES = ("original", *_ORDERS)
+
+#: Schedules ``reorder`` remembers, least recently used evicted first.
+MEMO_SIZE = 256
+_memo: OrderedDict[tuple[str, str, bool], tuple[int, ...]] = OrderedDict()
+#: Service workers reorder on threads; the memo's reads move entries.
+_memo_lock = threading.Lock()
 
 
 def reorder(
@@ -159,6 +203,12 @@ def reorder(
     commute_diagonals: bool = False,
 ) -> QuantumCircuit:
     """Reorder ``circuit`` with the named strategy.
+
+    The schedule - the permutation of source gate indices - is remembered
+    per ``(circuit.fingerprint(), strategy, commute_diagonals)`` in a
+    bounded LRU, so the paper's experiments derive each reordering once.
+    Only the permutation is kept: every call returns a fresh circuit, and
+    ``"original"`` returns ``circuit`` itself.
 
     Args:
         circuit: Circuit to reorder.
@@ -170,4 +220,17 @@ def reorder(
         raise CircuitError(
             f"unknown reorder strategy {strategy!r}; pick one of {sorted(STRATEGIES)}"
         )
-    return STRATEGIES[strategy](circuit, commute_diagonals=commute_diagonals)
+    if strategy == "original":
+        return circuit
+    key = (circuit.fingerprint(), strategy, commute_diagonals)
+    with _memo_lock:
+        order = _memo.get(key)
+        if order is not None:
+            _memo.move_to_end(key)
+    if order is None:
+        order = tuple(_schedule(circuit, strategy, commute_diagonals))
+        with _memo_lock:
+            _memo[key] = order
+            while len(_memo) > MEMO_SIZE:
+                _memo.popitem(last=False)
+    return _permuted(circuit, order)

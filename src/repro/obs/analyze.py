@@ -23,6 +23,7 @@ off a virtual root spanning the trace extent).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -289,7 +290,15 @@ def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, 
 
 
 def overlap_stats(spans: list[Span]) -> OverlapStats:
-    """Measure hidden vs exposed transfer time across lanes."""
+    """Measure hidden vs exposed transfer time across lanes.
+
+    Hidden time is the time covered by compute on any *other* lane; those
+    lanes' intervals are unioned so doubly-covered instants count once.
+    The union is built once per transfer lane, sorted and disjoint, so each
+    transfer span bisects to the first interval ending after it starts and
+    adds the overlaps in time order - the same sums a scan of every
+    interval makes.
+    """
     compute_by_lane: dict[str, list[tuple[float, float]]] = {}
     for span in spans:
         if span.stage == "compute" and span.end > span.start:
@@ -298,18 +307,25 @@ def overlap_stats(spans: list[Span]) -> OverlapStats:
         lane: _merge_intervals(intervals)
         for lane, intervals in compute_by_lane.items()
     }
+    others: dict[str, tuple[list[tuple[float, float]], list[float]]] = {}
     stats = OverlapStats()
     for span in spans:
         if span.stage not in TRANSFER_STAGES:
             continue
         stats.transfer += span.duration
-        # Hidden time = time covered by compute on any *other* lane; union
-        # across those lanes so doubly-covered instants count once.
-        other: list[tuple[float, float]] = []
-        for lane, intervals in merged_by_lane.items():
-            if lane != span.lane:
-                other.extend(intervals)
-        for start, end in _merge_intervals(other):
+        if span.lane not in others:
+            union = _merge_intervals([
+                interval
+                for lane, intervals in merged_by_lane.items()
+                if lane != span.lane
+                for interval in intervals
+            ])
+            others[span.lane] = (union, [end for _, end in union])
+        union, ends = others[span.lane]
+        for position in range(bisect_right(ends, span.start), len(union)):
+            start, end = union[position]
+            if start >= span.end:
+                break
             lo = max(start, span.start)
             hi = min(end, span.end)
             if hi > lo:

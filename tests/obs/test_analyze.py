@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import (
     Span,
@@ -14,7 +16,67 @@ from repro.obs import (
     stage_rollups,
     top_bottlenecks,
 )
-from repro.obs.analyze import UNATTRIBUTED
+from repro.obs.analyze import TRANSFER_STAGES, UNATTRIBUTED, OverlapStats
+
+
+def reference_overlap_stats(spans: list[Span]) -> OverlapStats:
+    """The overlap metric as first written: every transfer span re-merges
+    every other lane's compute intervals and scans all of them."""
+
+    def merge(intervals):
+        merged = []
+        for start, end in sorted(intervals):
+            if merged and start <= merged[-1][1]:
+                if end > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], end)
+            else:
+                merged.append((start, end))
+        return merged
+
+    compute_by_lane: dict[str, list[tuple[float, float]]] = {}
+    for span in spans:
+        if span.stage == "compute" and span.end > span.start:
+            compute_by_lane.setdefault(span.lane, []).append((span.start, span.end))
+    merged_by_lane = {
+        lane: merge(intervals) for lane, intervals in compute_by_lane.items()
+    }
+    stats = OverlapStats()
+    for span in spans:
+        if span.stage not in TRANSFER_STAGES:
+            continue
+        stats.transfer += span.duration
+        other: list[tuple[float, float]] = []
+        for lane, intervals in merged_by_lane.items():
+            if lane != span.lane:
+                other.extend(intervals)
+        for start, end in merge(other):
+            lo = max(start, span.start)
+            hi = min(end, span.end)
+            if hi > lo:
+                stats.hidden += hi - lo
+    return stats
+
+
+# Coarse times on a grid make touching, nested, repeated and zero-length
+# intervals common; the fine ones exercise inexact float sums.
+TIMES = st.one_of(
+    st.integers(0, 12).map(float),
+    st.floats(0.0, 12.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def lane_spans(draw) -> list[Span]:
+    lanes = [f"lane{k}" for k in range(draw(st.integers(1, 8)))]
+    spans = []
+    for index in range(draw(st.integers(0, 40))):
+        start = draw(TIMES)
+        end = draw(st.one_of(st.just(start), TIMES.map(lambda t: start + t)))
+        spans.append(_span(
+            index, f"s{index}", draw(st.sampled_from(["compute", "h2d", "d2h"])),
+            draw(st.sampled_from(lanes)), start, end,
+        ))
+    return spans
 
 
 def _span(index, name, stage, lane, start, end, parent=None) -> Span:
@@ -144,6 +206,30 @@ class TestOverlapStats:
     def test_no_transfers_means_no_rating(self):
         spans = [_span(0, "c", "compute", "main", 0, 5)]
         assert overlap_stats(spans).efficiency is None
+
+    @given(spans=lane_spans())
+    def test_matches_the_full_scan_exactly(self, spans):
+        stats = overlap_stats(spans)
+        expected = reference_overlap_stats(spans)
+        assert stats.transfer == expected.transfer
+        assert stats.hidden == expected.hidden
+
+    def test_touching_nested_and_zero_length_intervals(self):
+        spans = [
+            _span(0, "c", "compute", "g1", 0, 2),
+            _span(1, "c", "compute", "g1", 2, 5),  # touches the first
+            _span(2, "c", "compute", "g2", 1, 3),  # nested in g1's union
+            _span(3, "c", "compute", "g2", 7, 9),
+            _span(4, "c", "compute", "g3", 8, 8),  # zero-length compute
+            _span(5, "t", "h2d", "io", 5, 7),  # touches both sides
+            _span(6, "t", "d2h", "io", 4, 4),  # zero-length transfer
+            _span(7, "t", "h2d", "g1", 0, 10),
+            _span(8, "t", "d2h", "io", 1, 8.5),
+        ]
+        stats = overlap_stats(spans)
+        expected = reference_overlap_stats(spans)
+        assert (stats.transfer, stats.hidden) == (expected.transfer, expected.hidden)
+        assert stats.hidden == pytest.approx(0.0 + 0.0 + 4.0 + 5.5)
 
 
 class TestBottlenecks:
