@@ -244,42 +244,6 @@ class QuantumCircuit:
         out.extend(gates)
         return out
 
-    def compose(
-        self, other: "QuantumCircuit", qubits: Sequence[int] | None = None
-    ) -> "QuantumCircuit":
-        """Append ``other``'s gates onto this circuit (returns a new one).
-
-        Args:
-            other: Circuit to append.
-            qubits: Where ``other``'s qubit ``k`` lands in this circuit
-                (defaults to the identity placement; ``other`` must then be
-                no wider than this circuit).
-        """
-        if qubits is None:
-            qubits = list(range(other.num_qubits))
-        if len(qubits) != other.num_qubits:
-            raise CircuitError(
-                f"placement names {len(qubits)} qubits for a "
-                f"{other.num_qubits}-qubit circuit"
-            )
-        if len(set(qubits)) != len(qubits):
-            raise CircuitError("placement has repeated qubits")
-        mapping = {k: q for k, q in enumerate(qubits)}
-        out = QuantumCircuit(self.num_qubits, name=self.name)
-        out.extend(self._gates)
-        for gate in other:
-            out.append(gate.remapped(mapping))
-        return out
-
-    def repeat(self, times: int) -> "QuantumCircuit":
-        """The circuit applied ``times`` times in sequence."""
-        if times < 0:
-            raise CircuitError(f"cannot repeat {times} times")
-        out = QuantumCircuit(self.num_qubits, name=f"{self.name}^{times}")
-        for _ in range(times):
-            out.extend(self._gates)
-        return out
-
     def inverse(self) -> "QuantumCircuit":
         """Return the adjoint circuit (reversed order, inverted gates).
 

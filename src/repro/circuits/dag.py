@@ -136,9 +136,3 @@ class GateDag:
                 if position[dep] >= position[node.index]:
                     return False
         return True
-
-    def as_edges(self) -> list[tuple[int, int]]:
-        """All dependency edges as ``(earlier, later)`` pairs."""
-        return [
-            (dep, node.index) for node in self.nodes for dep in sorted(node.predecessors)
-        ]

@@ -23,14 +23,10 @@ Subcommands:
   result bit-identical, that checkpoint/resume works mid-circuit, and
   report the modelled retry overhead;
 * ``serve-batch`` - run a JSON manifest of jobs through the batch service
-  (admission control, scheduling policy, worker pool, result cache,
-  watchdog supervision and crash recovery);
+  (scheduling policy, worker pool, result cache, watchdog supervision and
+  crash recovery);
 * ``submit`` / ``status`` / ``cancel`` / ``compact`` - manage jobs in a
-  JSONL journal across processes (see ``docs/service.md``);
-* ``chaos`` - the service-level chaos soak: seeded kill-restart-recover
-  cycles with injected worker crashes, stalls, torn journal writes and
-  cache corruption, verifying exactly-once convergence (see
-  ``docs/reliability.md``).
+  JSONL journal across processes (see ``docs/service.md``).
 
 ``simulate`` and ``submit`` take ``--backend`` (``auto`` engages the
 circuit-aware backend planner, see ``docs/planner.md``) and
@@ -43,10 +39,8 @@ per-backend cost table.  ``simulate`` also understands ``--fault-plan``,
 summary|analyze|critical-path|drift FILE`` analyse any exported trace
 (per-stage breakdown, rollups + bottlenecks, critical-path attribution
 with overlap efficiency, and model-vs-measured drift - see
-``docs/observability.md``).  ``serve-batch --http-port`` exposes a live
-``/metrics`` / ``/healthz`` / ``/livez`` / ``/readyz`` / ``/jobs``
-endpoint.  The global ``--log-level`` / ``--log-format`` flags control
-structured logging.
+``docs/observability.md``).  The global ``--log-level`` / ``--log-format``
+flags control structured logging.
 """
 
 from __future__ import annotations
@@ -445,17 +439,6 @@ def _trace_analyze(args: argparse.Namespace) -> int:
         print()
         print(render_fleet(fleet, unit=unit))
         payload["fleet"] = fleet.to_dict()
-        if getattr(args, "prom", None):
-            from repro.obs import (
-                CounterRegistry,
-                fleet_gauges,
-                render_prometheus,
-            )
-
-            Path(args.prom).write_text(
-                render_prometheus(CounterRegistry(), gauges=fleet_gauges(fleet))
-            )
-            print(f"fleet gauges written to {args.prom}")
     if args.json:
         Path(args.json).write_text(
             json.dumps(payload, sort_keys=True, indent=1) + "\n"
@@ -612,6 +595,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         RecoveryPolicy,
     )
     from repro.service import (
+        DEFAULT_CACHE_BUDGET,
         BatchService,
         JobStore,
         SupervisionConfig,
@@ -642,10 +626,10 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         machine=MACHINES[args.machine],
         policy=args.policy,
         workers=args.workers,
-        memory_budget_bytes=(
-            args.memory_budget_gb * 1e9 if args.memory_budget_gb else None
+        cache_budget_bytes=(
+            DEFAULT_CACHE_BUDGET if args.cache_mb is None
+            else int(args.cache_mb * 1e6)
         ),
-        cache_budget_bytes=int(args.cache_mb * 1e6),
         recovery=recovery,
         sim_recovery=sim_recovery,
         sim_workers=args.sim_workers,
@@ -654,38 +638,21 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
         tracer=tracer,
         supervision=supervision,
     )
+    if args.journal:
+        # Full crash recovery, not just PENDING adoption: repairs a torn
+        # tail, re-queues RUNNING/ADMITTED jobs from a crashed serve, and
+        # seeds the cache from journaled results.  Runs before a manifest
+        # is submitted, so its jobs append to a clean tail.
+        service.recover()
     if args.manifest:
         for spec in load_manifest(args.manifest):
             service.submit(spec)
-    if args.journal and not args.manifest:
-        # Full crash recovery, not just PENDING adoption: repairs a torn
-        # tail, re-queues RUNNING/ADMITTED jobs from a crashed serve, and
-        # seeds the cache from journaled results.
-        service.recover()
     if not service.jobs:
         print("no jobs to run (empty manifest/journal)")
         return 0
-    http_server = None
-    if args.http_port is not None:
-        from repro.service import ServiceHTTPServer
-
-        http_server = ServiceHTTPServer(
-            service, port=args.http_port, host=args.http_host
-        ).start()
-        print(f"observability endpoint: {http_server.url} "
-              "(/metrics /healthz /livez /readyz /jobs)")
-    try:
-        snapshot = service.run_until_complete()
-        if http_server is not None and args.http_linger > 0:
-            import time as _time
-
-            _time.sleep(args.http_linger)
-    finally:
-        if http_server is not None:
-            http_server.stop()
+    snapshot = service.run_until_complete()
     counters = snapshot["counters"]
     cache = snapshot["cache"]
-    admission = snapshot["admission"]
     print(f"policy={service.policy.name} workers={service.workers} "
           f"deterministic={service.deterministic}")
     print(f"jobs      : {counters.get('jobs_submitted', 0) + counters.get('jobs_adopted', 0)} "
@@ -694,9 +661,6 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
           f"{counters.get('jobs_retried', 0)} retries")
     print(f"cache     : {cache['hits']} hits, {cache['misses']} misses, "
           f"{cache['evictions']} evictions (hit rate {cache['hit_rate']:.1%})")
-    print(f"admission : peak {admission['peak_bytes']:.0f} B of "
-          f"{admission['budget_bytes']:.0f} B budget, "
-          f"{admission['deferrals']} deferrals")
     if args.metrics:
         Path(args.metrics).write_text(service.metrics_json())
         print(f"metrics written to {args.metrics}")
@@ -778,48 +742,6 @@ def _cmd_compact(args: argparse.Namespace) -> int:
     print(f"compacted {args.journal}: {kept} event(s) kept, "
           f"{before} -> {after} bytes")
     return 0
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.chaos import run_chaos_soak
-
-    report = run_chaos_soak(
-        args.manifest,
-        args.journal,
-        seed=args.seed,
-        cycles=args.cycles,
-        workers=args.workers,
-        crash_rate=args.crash_rate,
-        stall_rate=args.stall_rate,
-        torn_rate=args.torn_rate,
-        cache_corrupt_rate=args.cache_corrupt_rate,
-        kill_after=args.kill_after,
-        max_attempts=args.max_attempts,
-        stall_timeout=args.stall_timeout,
-        strict=False,  # report + exit code instead of a raise, for CI logs
-    )
-    states = ", ".join(f"{k}={v}" for k, v in report["states"].items())
-    print(f"chaos soak: {report['jobs']} job(s), {report['crashes']} "
-          f"crash(es), {report['torn_writes']} torn write(s), "
-          f"{report['journal_appends']} journal appends")
-    print(f"states    : {states or 'none'}")
-    print(f"converged : {report['converged']}  "
-          f"byte-identical: {report['byte_identical']}  "
-          f"duplicate cache entries: {report['duplicate_cache_entries']}")
-    counters = report["final_metrics"].get("counters", {})
-    print(f"last cycle: {counters.get('watchdog.reaps', 0)} watchdog reap(s), "
-          f"{counters.get('jobs_retried', 0)} retr(ies), "
-          f"{counters.get('recovery.requeued', 0)} re-queued")
-    for violation in report["violations"]:
-        print(f"violation : {violation}", file=sys.stderr)
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report, sort_keys=True, indent=1) + "\n"
-        )
-        print(f"report written to {args.report}")
-    return 1 if report["violations"] else 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1023,9 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--fleet", action="store_true",
                        help="'analyze': add the fleet report (per-device "
                             "busy/idle, link utilization, comm matrix)")
-    trace.add_argument("--prom", metavar="FILE",
-                       help="'analyze --fleet': write the fleet gauges in "
-                            "Prometheus text format")
     trace.add_argument("--top", type=int, default=5,
                        help="bottlenecks ('analyze') or segments "
                             "('critical-path') to print")
@@ -1065,8 +984,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--manifest", metavar="PATH",
                        help="JSON job manifest (list or {'jobs': [...]})")
     serve.add_argument("--journal", metavar="PATH",
-                       help="JSONL job journal to record to; without "
-                            "--manifest, recover and re-run its jobs")
+                       help="JSONL job journal to record to; its unfinished "
+                            "jobs are recovered and re-run first")
     serve.add_argument("--journal-fsync", default="never",
                        choices=["never", "always"],
                        help="fsync every journal append (durable against "
@@ -1083,10 +1002,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--policy", default="fifo",
                        choices=["fifo", "priority", "sjf"])
     serve.add_argument("--machine", default="p100", choices=sorted(MACHINES))
-    serve.add_argument("--memory-budget-gb", type=float, metavar="GB",
-                       help="admission budget (default: machine host DRAM)")
-    serve.add_argument("--cache-mb", type=float, default=16.0,
-                       help="result-cache byte budget in MB")
+    serve.add_argument("--cache-mb", type=float, metavar="MB",
+                       help="result-cache byte budget in MB (default: 16 MiB)")
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument("--max-attempts", type=int, metavar="N",
                        help="job-level retry budget for failing jobs")
@@ -1102,15 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace", metavar="PATH",
                        help="write a Chrome trace of scheduling + simulation "
                             "(logical clock when --workers 1)")
-    serve.add_argument("--http-port", type=int, metavar="PORT",
-                       help="serve /metrics, /healthz and /jobs on this "
-                            "port while running (0 = ephemeral)")
-    serve.add_argument("--http-host", default="127.0.0.1", metavar="ADDR",
-                       help="bind address for --http-port")
-    serve.add_argument("--http-linger", type=float, default=0.0,
-                       metavar="SECONDS",
-                       help="keep the HTTP endpoint up this long after the "
-                            "queue drains (for scrapes of the final state)")
     serve.set_defaults(fn=_cmd_serve_batch)
 
     submit = sub.add_parser("submit", help="append a job to a journal")
@@ -1143,39 +1051,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compact.add_argument("--journal", required=True, metavar="PATH")
     compact.set_defaults(fn=_cmd_compact)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="service-level chaos soak: seeded kill-restart-recover cycles",
-    )
-    chaos.add_argument("--manifest", required=True, metavar="PATH",
-                       help="JSON job manifest to soak")
-    chaos.add_argument("--journal", required=True, metavar="PATH",
-                       help="journal file for the soak (must not exist)")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="root of the crash schedule and fault plan")
-    chaos.add_argument("--cycles", type=int, default=3,
-                       help="crash cycles before the clean final cycle")
-    chaos.add_argument("--workers", type=int, default=2)
-    chaos.add_argument("--crash-rate", type=float, default=0.15,
-                       help="P(worker crash) per job attempt")
-    chaos.add_argument("--stall-rate", type=float, default=0.05,
-                       help="P(worker stall) per job attempt")
-    chaos.add_argument("--torn-rate", type=float, default=0.5,
-                       help="P(the killing journal append is torn)")
-    chaos.add_argument("--cache-corrupt-rate", type=float, default=0.1,
-                       help="P(cache entry corrupted) per store")
-    chaos.add_argument("--kill-after", type=int, metavar="N",
-                       help="fixed appends-per-cycle until the kill "
-                            "(default: seeded schedule)")
-    chaos.add_argument("--max-attempts", type=int, default=20,
-                       help="per-job retry budget during the soak")
-    chaos.add_argument("--stall-timeout", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="watchdog stall reap threshold")
-    chaos.add_argument("--report", metavar="FILE",
-                       help="write the full soak report JSON here")
-    chaos.set_defaults(fn=_cmd_chaos)
 
     bench = sub.add_parser(
         "bench",

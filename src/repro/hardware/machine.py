@@ -47,10 +47,6 @@ class Machine:
     def total_gpu_capacity_bytes(self) -> int:
         return sum(self.gpu_capacity_bytes(i) for i in range(self.num_gpus))
 
-    def fits_on_gpu(self, state_bytes: int, gpu_index: int = 0) -> bool:
-        """True when the full state vector is resident on one GPU."""
-        return state_bytes <= self.gpu_capacity_bytes(gpu_index)
-
     def fits_in_host(self, state_bytes: int) -> bool:
         """True when the host can hold the state vector (plus ~5% slack)."""
         return state_bytes * 1.05 <= self.spec.host_memory_bytes

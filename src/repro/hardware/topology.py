@@ -44,7 +44,7 @@ class DeviceLink:
 
     Attributes:
         link_id: Unique identifier within the topology (stable across
-            runs; trace spans and Prometheus gauges key on it).
+            runs; trace spans and the fleet report key on it).
         kind: Link family - ``"pcie"`` or ``"nvlink"``.
         src: One endpoint (a host or device name).
         dst: The other endpoint.

@@ -11,9 +11,8 @@ Quick start::
 
 Analytics over exported traces live in :mod:`repro.obs.analyze` (stage
 rollups, critical path, overlap efficiency, bottlenecks),
-:mod:`repro.obs.drift` (model-vs-measured comparison), and
-:mod:`repro.obs.prom` (Prometheus text exposition for the service's
-``/metrics`` endpoint).  See ``docs/observability.md`` for the span
+:mod:`repro.obs.drift` (model-vs-measured comparison) and
+:mod:`repro.obs.fleet` (multi-device busy/idle and comm matrix).  See ``docs/observability.md`` for the span
 taxonomy, export formats, and overhead numbers.
 """
 
@@ -62,7 +61,6 @@ from repro.obs.fleet import (
     FleetAnalysis,
     LinkStats,
     fleet_analysis,
-    fleet_gauges,
     render_fleet,
     span_device,
 )
@@ -86,7 +84,6 @@ from repro.obs.profile import (
     process_rss_bytes,
     render_flamegraph,
 )
-from repro.obs.prom import render_prometheus, sanitize_metric_name
 from repro.obs.roofline import (
     KernelRoofline,
     kernel_rooflines,
@@ -146,7 +143,6 @@ __all__ = [
     "events_from_spans",
     "flatten_numeric",
     "fleet_analysis",
-    "fleet_gauges",
     "get_logger",
     "kernel_rooflines",
     "load_ledger",
@@ -163,11 +159,9 @@ __all__ = [
     "render_flamegraph",
     "render_fleet",
     "render_kernel_rooflines",
-    "render_prometheus",
     "render_record",
     "render_summary",
     "rooflines_payload",
-    "sanitize_metric_name",
     "span_device",
     "spans_from_events",
     "stage_for_resource",

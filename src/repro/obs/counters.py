@@ -16,8 +16,7 @@ separators) so deterministic runs diff clean.
 The registry also hosts :class:`~repro.obs.hist.Histogram` series
 (:meth:`histogram` get-or-creates one by name + label set), so
 distribution metrics - span durations, chunk bytes, queue waits, job
-latencies - export alongside the counters and reach the Prometheus
-endpoint (:mod:`repro.obs.prom`) without a second registry.
+latencies - export alongside the counters without a second registry.
 """
 
 from __future__ import annotations
@@ -44,12 +43,6 @@ class CounterRegistry:
 
     # ``add`` reads better for byte/seconds accumulators.
     add = count
-
-    def observe_max(self, name: str, value: int | float) -> None:
-        """Record the running maximum of a gauge-like quantity."""
-        with self._lock:
-            if value > self._values.get(name, value - 1):
-                self._values[name] = value
 
     def get(self, name: str, default: int | float = 0) -> int | float:
         with self._lock:

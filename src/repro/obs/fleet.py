@@ -24,8 +24,7 @@ carry the executor's ``meta`` annotations (device, link id, bytes) in
   :mod:`repro.obs.analyze` unchanged - device lanes are just lanes.
 
 The result renders as the ``trace analyze --fleet`` report and exports as
-Prometheus gauges via :func:`fleet_gauges` +
-:func:`repro.obs.prom.render_prometheus`.
+JSON via :meth:`FleetAnalysis.to_dict`.
 """
 
 from __future__ import annotations
@@ -284,30 +283,6 @@ def fleet_analysis(
         overlap=overlap_stats(spans),
         critical=critical_path(spans),
     )
-
-
-def fleet_gauges(analysis: FleetAnalysis) -> dict[str, float]:
-    """Flat gauge mapping for :func:`repro.obs.prom.render_prometheus`.
-
-    Names are raw here; the Prometheus renderer sanitizes the link-id and
-    device suffixes into metric-safe characters.
-    """
-    gauges: dict[str, float] = {
-        "fleet_devices": float(len(analysis.devices)),
-        "fleet_wall_seconds": analysis.wall,
-        "fleet_load_imbalance": analysis.imbalance,
-        "fleet_comm_bytes_total": analysis.total_bytes,
-    }
-    efficiency = analysis.overlap.efficiency
-    if efficiency is not None:
-        gauges["fleet_overlap_efficiency"] = efficiency
-    for stats in analysis.devices:
-        gauges[f"fleet_device_busy_seconds_{stats.device}"] = stats.busy
-        gauges[f"fleet_device_idle_seconds_{stats.device}"] = stats.idle
-    for link in analysis.links:
-        gauges[f"fleet_link_bytes_{link.link_id}"] = link.bytes_total
-        gauges[f"fleet_link_utilization_{link.link_id}"] = link.utilization
-    return gauges
 
 
 def _spark(fractions: list[float]) -> str:

@@ -10,9 +10,7 @@ data:
 
 * two histograms of the same name :meth:`merge` by adding bucket counts;
 * the export is deterministic - a run that observes the same values in
-  any order serialises byte-identically;
-* the Prometheus exposition (see :mod:`repro.obs.prom`) emits cumulative
-  ``le`` bounds straight off the grid.
+  any order serialises byte-identically.
 
 Observations at or below zero land in the lowest bucket (bound
 ``2**MIN_EXP``); values beyond the top of the grid land in the highest.
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Iterator, Mapping
+from typing import Any, Mapping
 
 #: Bucket-exponent clamp: bounds span 2^-30 (~1e-9, nanosecond-scale
 #: durations) to 2^40 (~1e12, terabyte-scale byte counts).
@@ -116,21 +114,6 @@ class Histogram:
         """Per-exponent (non-cumulative) counts, sorted by exponent."""
         with self._lock:
             return dict(sorted(self._buckets.items()))
-
-    def cumulative(self) -> Iterator[tuple[float, int]]:
-        """``(upper_bound, cumulative_count)`` pairs over occupied grid range.
-
-        Yields one entry per grid exponent from the lowest to the highest
-        occupied bucket, so merged histograms and re-exports agree even
-        when intermediate buckets are empty.
-        """
-        buckets = self.buckets()
-        if not buckets:
-            return
-        running = 0
-        for exponent in range(min(buckets), max(buckets) + 1):
-            running += buckets.get(exponent, 0)
-            yield 2.0**exponent, running
 
     def snapshot(self) -> dict[str, Any]:
         """Deterministic JSON-safe summary (bounds stringified, sorted)."""

@@ -1,9 +1,9 @@
 """The unified perf ledger: one history over every ``BENCH_*.json``.
 
-The repo's four benchmark artifacts - ``BENCH_kernels.json`` (chunk-engine
+The repo's benchmark artifacts - ``BENCH_kernels.json`` (chunk-engine
 throughput), ``BENCH_planner.json`` (backend-selection accuracy/speedup),
-``BENCH_service.json`` (batch-service throughput + recovery) and
-``BENCH_obs.json`` (tracing overhead) - are one-shot snapshots: each CI
+``BENCH_obs.json`` (tracing overhead) and ``BENCH_fleet.json`` (fleet
+scaling) - are one-shot snapshots: each CI
 run overwrites the last, so there is no perf *trajectory* to raise the
 committed baselines against.  The ledger fixes that with an append-only
 ``BENCH_LEDGER.jsonl``: every :func:`append_record` call flattens all
@@ -46,7 +46,6 @@ SCHEMA = 1
 BENCH_FILES: tuple[tuple[str, str], ...] = (
     ("kernels", "BENCH_kernels.json"),
     ("planner", "BENCH_planner.json"),
-    ("service", "BENCH_service.json"),
     ("obs", "BENCH_obs.json"),
     ("fleet", "BENCH_fleet.json"),
 )

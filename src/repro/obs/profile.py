@@ -22,8 +22,7 @@ time shares - the acceptance check ``repro simulate --profile`` runs.
 
 The module also hosts the process-memory read-backs the memory-telemetry
 side of the observatory uses (``Tracer(memory=True)`` records them into
-the ``span_peak_bytes{stage}`` histograms; the service's ``/metrics``
-endpoint exposes them as gauges):
+the ``span_peak_bytes{stage}`` histograms):
 
 * :func:`process_rss_bytes` / :func:`process_peak_rss_bytes` - current
   and high-water resident set, read from ``/proc/self/status`` on Linux

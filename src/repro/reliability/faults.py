@@ -264,23 +264,6 @@ class FaultPlan:
             or self.forced
         )
 
-    @property
-    def service_active(self) -> bool:
-        """True when this plan injects faults at the service layer."""
-        service_kinds = (
-            FaultKind.WORKER_CRASH,
-            FaultKind.WORKER_STALL,
-            FaultKind.JOURNAL_TORN_WRITE,
-            FaultKind.CACHE_CORRUPT,
-        )
-        return bool(
-            self.worker_crash_rate
-            or self.worker_stall_rate
-            or self.journal_torn_rate
-            or self.cache_corrupt_rate
-            or any(e.kind in service_kinds for e in self.forced)
-        )
-
     # -- spec parsing ------------------------------------------------------
 
     @classmethod

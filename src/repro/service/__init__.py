@@ -2,31 +2,25 @@
 
 Turns the blocking :class:`~repro.core.QGpuSimulator` into a servable
 system: a job model with a validated lifecycle state machine, pluggable
-scheduling policies (FIFO / priority / shortest-estimated-job-first),
-admission control that bounds the aggregate resident footprint using the
-capacity model, a worker pool, a content-addressed result cache with LRU
-byte-budget eviction and CRC-verified entries, a metrics registry, and a
-crash-safe JSONL job journal for cross-process ``status``/``cancel``.
+scheduling policies (FIFO / priority / shortest-estimated-job-first), a
+worker pool, a content-addressed result cache with LRU byte-budget
+eviction and CRC-verified entries, a metrics registry, and a crash-safe
+JSONL job journal for cross-process ``status``/``cancel``.
 
-The service self-heals: per-job deadlines with cooperative cancellation,
-a watchdog :class:`~repro.service.supervision.Supervisor` reaping hung
-workers, per-fingerprint circuit breakers failing repeat offenders fast,
-torn-tail-tolerant journal replay with :meth:`JobStore.compact`, and
-:meth:`BatchService.recover` for end-to-end restart recovery.  The chaos
-harness (:mod:`repro.service.chaos`, ``repro chaos``) soak-tests all of
-it with seeded kill-restart-recover cycles.
-
-A live service can additionally expose an HTTP observability endpoint
-(:class:`ServiceHTTPServer`: ``/metrics`` Prometheus text, ``/healthz``,
-``/livez``, ``/readyz``, ``/jobs``) via ``repro serve-batch --http-port``.
+The service recovers from failure: per-job deadlines with cooperative
+cancellation, a watchdog :class:`~repro.service.supervision.Supervisor`
+reaping hung workers, retries with modelled backoff, torn-tail-tolerant
+journal replay with :meth:`JobStore.compact`, and
+:meth:`BatchService.recover` for end-to-end restart recovery.  A job
+whose footprint exceeds the machine's host memory is rejected at
+``submit``.
 
 See ``docs/service.md`` for the architecture and worked examples, and the
-``repro serve-batch`` / ``submit`` / ``status`` / ``cancel`` CLI commands.
+``repro serve-batch`` / ``submit`` / ``status`` / ``cancel`` / ``compact``
+CLI commands.
 """
 
-from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
-from repro.service.http import PROMETHEUS_CONTENT_TYPE, ServiceHTTPServer
 from repro.service.job import (
     ALLOWED_TRANSITIONS,
     Job,
@@ -52,23 +46,11 @@ from repro.service.service import (
     load_manifest,
 )
 from repro.service.store import FSYNC_POLICIES, JobStore
-from repro.service.supervision import (
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-    SupervisionConfig,
-    Supervisor,
-)
+from repro.service.supervision import SupervisionConfig, Supervisor
 
 __all__ = [
     "ALLOWED_TRANSITIONS",
-    "AdmissionController",
     "BatchService",
-    "BreakerBoard",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
     "DEFAULT_CACHE_BUDGET",
     "FSYNC_POLICIES",
     "FifoPolicy",
@@ -80,10 +62,8 @@ __all__ = [
     "LogicalClock",
     "MetricsRegistry",
     "POLICIES",
-    "PROMETHEUS_CONTENT_TYPE",
     "PriorityPolicy",
     "ResultCache",
-    "ServiceHTTPServer",
     "SERVICE_VERSIONS",
     "SchedulingPolicy",
     "SjfPolicy",

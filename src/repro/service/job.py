@@ -46,10 +46,6 @@ class JobState(str, Enum):
     FAILED = "FAILED"
     CANCELLED = "CANCELLED"
 
-    @property
-    def terminal(self) -> bool:
-        return self in (JobState.SUCCEEDED, JobState.CANCELLED)
-
 
 #: Legal lifecycle transitions.  ``FAILED -> PENDING`` is the retry edge,
 #: ``ADMITTED -> PENDING`` the restart-recovery re-queue, and

@@ -18,7 +18,6 @@ fixed separators so deterministic runs diff clean.
 from __future__ import annotations
 
 import json
-import time
 from typing import Any
 
 from repro.obs.clock import LogicalClock, WallClock
@@ -51,17 +50,12 @@ class MetricsRegistry:
         self.retry_backoff_seconds = 0.0
         self.job_records: list[dict[str, Any]] = []
         self._absorbed: set[str] = set()
-        #: Latest worker heartbeat per job id (monotonic seconds).  Local
-        #: observability only - never exported, so wall time cannot leak
-        #: into the deterministic metrics JSON.
-        self.heartbeats: dict[str, float] = {}
 
     def count(self, name: str, increment: int = 1) -> None:
         self.counters.count(name, increment)
 
-    def record_heartbeat(self, job_id: str) -> None:
-        """Note one worker heartbeat (wired to the job's token ``on_beat``)."""
-        self.heartbeats[job_id] = time.monotonic()
+    def record_heartbeat(self) -> None:
+        """Count one worker heartbeat (wired to the job's token ``on_beat``)."""
         self.counters.count("watchdog.heartbeats")
 
     def observe_queue_depth(self, depth: int) -> None:
@@ -122,7 +116,6 @@ class MetricsRegistry:
         self,
         *,
         cache: dict[str, Any] | None = None,
-        admission: dict[str, Any] | None = None,
         config: dict[str, Any] | None = None,
         supervision: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
@@ -133,7 +126,6 @@ class MetricsRegistry:
             "max_queue_depth": self.max_queue_depth,
             "retry_backoff_seconds": self.retry_backoff_seconds,
             "cache": cache or {},
-            "admission": admission or {},
             "supervision": supervision or {},
             "jobs": self.job_records,
         }

@@ -1,4 +1,4 @@
-"""The batch simulation service: admission + scheduling + workers + cache.
+"""The batch simulation service: scheduling + workers + cache + journal.
 
 :class:`BatchService` turns the blocking :class:`~repro.core.QGpuSimulator`
 into a servable system.  Jobs are submitted as declarative
@@ -8,8 +8,7 @@ the DES cost model), and drained by :meth:`BatchService.run_until_complete`:
 
 1. a **dispatch pass** orders the PENDING queue with the scheduling policy,
    serves duplicates straight from the content-addressed result cache,
-   holds back jobs whose footprint would overcommit the admission budget,
-   and hands admitted jobs to the thread pool;
+   and hands the rest to the thread pool as worker slots free up;
 2. **completions** are processed in deterministic (submission) order:
    successes populate the cache and journal, failures consult the
    reliability policy for the ``FAILED -> PENDING`` retry edge.
@@ -53,19 +52,12 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.reliability.cancellation import USER_KINDS, CancellationToken
 from repro.reliability.faults import FaultPlan
 from repro.reliability.policy import DEFAULT_POLICY, RecoveryPolicy
-from repro.service.admission import AdmissionController
 from repro.service.cache import ResultCache
 from repro.service.job import Job, JobResult, JobSpec, JobState
 from repro.service.metrics import LogicalClock, MetricsRegistry, WallClock
 from repro.service.scheduling import SchedulingPolicy, get_policy
 from repro.service.store import JobStore
-from repro.service.supervision import (
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    SupervisionConfig,
-    Supervisor,
-)
+from repro.service.supervision import SupervisionConfig, Supervisor
 from repro.statevector.parallel import resolve_workers
 
 #: Default result-cache budget (bytes of canonical-JSON payloads).
@@ -180,7 +172,7 @@ def execute_job(
 
 
 class BatchService:
-    """Admission-controlled, cached, multi-worker batch simulation service.
+    """Cached, journaled, multi-worker batch simulation service.
 
     Args:
         machine: Hardware model used for footprint and cost estimates and
@@ -190,9 +182,6 @@ class BatchService:
         workers: Concurrent worker threads.  ``1`` selects deterministic
             mode: a logical event clock replaces wall time, so metrics are
             byte-identical across runs.
-        memory_budget_bytes: Admission ceiling on the aggregate estimated
-            resident bytes of running jobs (default: the machine's host
-            DRAM).
         cache_budget_bytes: Result-cache byte budget.
         recovery: Job-level retry policy: a failed job re-enters the queue
             while ``on_fault == "retry"`` and its attempts are below
@@ -217,12 +206,10 @@ class BatchService:
             by a daemon supervisor thread).  ``None`` uses the defaults
             (enabled); pass ``SupervisionConfig(enabled=False)`` to
             disable supervision entirely.
-        breaker: Per-fingerprint circuit-breaker tuning; ``None`` uses
-            :class:`~repro.service.supervision.BreakerConfig` defaults.
         chaos_plan: Service-level fault plan consulted for injected
-            worker crashes, worker stalls and cache corruption.  This is
-            the chaos harness's knob, separate from each spec's in-run
-            ``fault_plan``.
+            worker crashes, worker stalls and cache corruption: the seam
+            the watchdog, retry and cache-CRC tests inject through,
+            separate from each spec's in-run ``fault_plan``.
     """
 
     def __init__(
@@ -231,7 +218,6 @@ class BatchService:
         machine: MachineSpec = PAPER_MACHINE,
         policy: SchedulingPolicy | str = "fifo",
         workers: int = 4,
-        memory_budget_bytes: float | None = None,
         cache_budget_bytes: int = DEFAULT_CACHE_BUDGET,
         recovery: RecoveryPolicy = DEFAULT_POLICY,
         sim_recovery: RecoveryPolicy = DEFAULT_POLICY,
@@ -240,7 +226,6 @@ class BatchService:
         journal: JobStore | str | Path | None = None,
         tracer: Tracer | None = None,
         supervision: SupervisionConfig | None = None,
-        breaker: BreakerConfig | None = None,
         chaos_plan: FaultPlan | None = None,
     ) -> None:
         if workers < 1:
@@ -250,13 +235,6 @@ class BatchService:
         self.policy = get_policy(policy) if isinstance(policy, str) else policy
         self.workers = workers
         self.deterministic = workers == 1
-        self.admission = AdmissionController(
-            budget_bytes=(
-                memory_budget_bytes
-                if memory_budget_bytes is not None
-                else float(machine.host_memory_bytes)
-            )
-        )
         self.cache = ResultCache(cache_budget_bytes)
         self.recovery = recovery
         self.sim_recovery = sim_recovery
@@ -287,7 +265,6 @@ class BatchService:
             supervision if supervision is not None else SupervisionConfig()
         )
         self.supervisor = Supervisor(self.supervision, on_reap=self._on_reap)
-        self.breakers = BreakerBoard(breaker, on_transition=self._on_breaker)
         self.chaos_plan = chaos_plan
         self._tokens: dict[str, CancellationToken] = {}  # job id -> RUNNING token
         self._cancel_lock = threading.Lock()  # cancel() vs. dispatch race
@@ -298,18 +275,14 @@ class BatchService:
         self.metrics.count("watchdog.reaps")
         self.metrics.count(f"{kind}.kills")  # deadline.kills / stall.kills
 
-    def _on_breaker(self, fingerprint: str, old: BreakerState, new: BreakerState) -> None:
-        """Breaker-board callback (coordinator thread): count a transition."""
-        self.metrics.count(f"breaker.{new.value}_transitions")
-
     # -- submission ----------------------------------------------------------
 
     def submit(self, spec: JobSpec | dict[str, Any]) -> Job:
-        """Register a job, pricing it and vetting it against the budget.
+        """Register a job, pricing it and vetting it against host memory.
 
         Raises:
             AdmissionError: If the job's estimated footprint exceeds the
-                entire admission budget (it could never run).
+                machine's host memory (it could never run).
             ServiceError: For malformed specs or unknown versions.
         """
         if isinstance(spec, dict):
@@ -327,19 +300,13 @@ class BatchService:
         circuit = spec.build_circuit()
         version = SERVICE_VERSIONS[spec.version]
         run_spec = spec
-        if spec.backend == "statevector" and spec.precision == "double":
+        dense = spec.backend == "statevector" and spec.precision == "double"
+        if dense:
             # The pre-planner path, byte-for-byte: dense footprint from
             # the capacity model, runtime from the timed DES model.
             footprint = host_footprint_bytes(circuit.num_qubits)
-            self.admission.check(footprint)  # reject-never-fits at the door
-            try:
-                estimated = QGpuSimulator(
-                    machine=self.machine, version=version
-                ).estimate_cost(circuit)
-            except SimulationError:
-                estimated = None
         else:
-            # Planner-routed jobs: admission and SJF price the *selected*
+            # Planner-routed jobs: the fit check and SJF price the *selected*
             # backend, not the dense engine the old service assumed.
             from repro.planner import PlannerConfig, plan as plan_circuit
 
@@ -357,7 +324,6 @@ class BatchService:
                 chosen = plan_circuit(circuit, config)
             self.metrics.count(f"planner.selected.{chosen.backend}")
             footprint = float(chosen.estimated_bytes)
-            self.admission.check(footprint)
             estimated = chosen.estimated_seconds
             run_spec = dataclasses.replace(
                 spec,
@@ -366,6 +332,19 @@ class BatchService:
                     chosen.precision if spec.precision == "auto" else spec.precision
                 ),
             )
+        if footprint > self.machine.host_memory_bytes:
+            raise AdmissionError(
+                f"job footprint {footprint:.0f} B exceeds the "
+                f"{self.machine.host_memory_bytes} B of host memory on "
+                f"{self.machine.name} - it can never be admitted"
+            )
+        if dense:
+            try:
+                estimated = QGpuSimulator(
+                    machine=self.machine, version=version
+                ).estimate_cost(circuit)
+            except SimulationError:
+                estimated = None
         seq = self._next_seq
         self._next_seq += 1
         job = Job(
@@ -384,36 +363,19 @@ class BatchService:
             self.journal.record_submit(job)
         return job
 
-    def adopt_pending(self) -> list[Job]:
-        """Adopt the journal's PENDING jobs into this service instance.
-
-        Used by ``repro serve-batch --journal``: jobs submitted by another
-        process are scheduled here; terminal jobs are left untouched.
-
-        Raises:
-            ServiceError: If the service has no journal.
-        """
-        if self.journal is None:
-            raise ServiceError("adopt_pending requires a journal")
-        adopted = []
-        for job in self.journal.load().values():
-            if job.state is JobState.PENDING and job.job_id not in self._jobs:
-                self._jobs[job.job_id] = job
-                self.metrics.count("jobs_adopted")
-                adopted.append(job)
-        return adopted
-
     def recover(self) -> list[Job]:
         """Full crash recovery from the journal; returns re-runnable jobs.
 
-        Beyond :meth:`adopt_pending`'s PENDING adoption, this:
+        Used by ``repro serve-batch --journal``.  Besides adopting the
+        journal's PENDING jobs (submitted by another process), this:
 
         * repairs a torn journal tail (so subsequent appends are clean);
         * re-queues jobs journaled RUNNING at crash time - the attempt
           died with the process, so they take ``RUNNING -> FAILED ->
           PENDING`` (charging the attempt already journaled);
         * re-queues ADMITTED jobs via ``ADMITTED -> PENDING`` without
-          charging an attempt (admission died before dispatch);
+          charging an attempt (the crash landed between admission and
+          dispatch);
         * re-queues FAILED jobs with retry budget left (the crash landed
           between the failure and the retry decision);
         * seeds the result cache from journaled SUCCEEDED results, so
@@ -556,7 +518,7 @@ class BatchService:
                 stuck = [
                     j for j in self._jobs.values() if j.state is JobState.PENDING
                 ]
-                if stuck:  # pragma: no cover - defensive; vetted at submit
+                if stuck:  # pragma: no cover - defensive: a policy that drops jobs
                     raise ServiceError(
                         f"{len(stuck)} pending job(s) cannot be dispatched"
                     )
@@ -578,31 +540,10 @@ class BatchService:
                 continue
             if len(futures) >= self.workers:
                 break
-            try:
-                admitted = self.admission.try_admit(job.job_id, job.footprint_bytes)
-            except AdmissionError as error:  # pragma: no cover - vetted at submit
-                self._fail_terminal(job, str(error))
-                continue
-            if not admitted:
-                continue  # queued: would overcommit the byte budget right now
-            decision = self.breakers.decision(job.fingerprint)
-            if decision != "allow":
-                self.admission.release(job.job_id)
-                if decision == "reject":
-                    self.metrics.count("breaker.rejections")
-                    self._fail_terminal(
-                        job,
-                        f"circuit breaker open for fingerprint "
-                        f"{job.fingerprint[:12]}: failing fast",
-                    )
-                # "defer": a HALF_OPEN probe is in flight; its outcome
-                # decides whether this job dispatches or fails fast.
-                continue
             with self._cancel_lock:
                 if job.state is not JobState.PENDING:
                     # cancel() won the race after this pass snapshotted
                     # the queue; never dispatch a cancelled job.
-                    self.admission.release(job.job_id)
                     continue
                 self.cache.record_miss()
                 job.attempts += 1
@@ -610,11 +551,7 @@ class BatchService:
                 self._journal_transition(job, job.admitted_at)
                 job.transition(JobState.RUNNING, at=self.clock.tick())
                 self._journal_transition(job, job.started_at)
-                token = CancellationToken(
-                    on_beat=(
-                        lambda job_id=job.job_id: self.metrics.record_heartbeat(job_id)
-                    )
-                )
+                token = CancellationToken(on_beat=self.metrics.record_heartbeat)
                 self._tokens[job.job_id] = token
             if self.supervision.enabled:
                 self.supervisor.watch(job.job_id, token, job.spec.deadline_seconds)
@@ -664,7 +601,6 @@ class BatchService:
     def _complete(self, future: Future, job_id: str) -> None:
         """Process one finished worker future (coordinator thread)."""
         job = self._jobs[job_id]
-        self.admission.release(job_id)
         self._inflight.pop(job.cache_key, None)
         self._tokens.pop(job_id, None)
         if self.supervision.enabled:
@@ -682,7 +618,6 @@ class BatchService:
             ):
                 self.cache.corrupt_entry(job.cache_key)
             self._cache_puts += 1
-            self.breakers.record_success(job.fingerprint)
             self.metrics.count("jobs_succeeded")
             self.metrics.absorb_result(job.result, job_id=job.job_id)
             self.metrics.record_job(job)
@@ -705,7 +640,6 @@ class BatchService:
         self._journal_transition(job, job.finished_at)
         if self.journal is not None:
             self.journal.record_error(job, str(error))
-        self.breakers.record_failure(job.fingerprint)
         self.metrics.count("job_attempt_failures")
         if (
             self.recovery.on_fault == "retry"
@@ -719,66 +653,11 @@ class BatchService:
             self.metrics.count("jobs_failed")
             self.metrics.record_job(job)
 
-    def _fail_terminal(self, job: Job, message: str) -> None:
-        """Mark a job FAILED with no retry (it can never succeed here)."""
-        job.error = message
-        job.attempts += 1
-        job.transition(JobState.ADMITTED, at=self.clock.tick())
-        self._journal_transition(job, job.admitted_at)
-        job.transition(JobState.RUNNING, at=self.clock.tick())
-        self._journal_transition(job, job.started_at)
-        job.transition(JobState.FAILED, at=self.clock.tick())
-        self._journal_transition(job, job.finished_at)
-        if self.journal is not None:
-            self.journal.record_error(job, message)
-        self.metrics.count("jobs_failed")
-        self.metrics.record_job(job)
-
     def _journal_transition(self, job: Job, at: float | None) -> None:
         if self.journal is not None:
             self.journal.record_transition(job, at)
 
     # -- reporting -----------------------------------------------------------
-
-    def jobs_snapshot(self) -> list[dict[str, Any]]:
-        """JSON-safe view of every job, for the HTTP ``/jobs`` endpoint.
-
-        Safe to call from any thread: job mutation happens only on the
-        coordinator, but this reader may race a ``submit`` growing the
-        dict, so the iteration retries on the (rare) RuntimeError a
-        concurrent resize raises.
-        """
-        for _ in range(8):
-            try:
-                jobs = sorted(self._jobs.values(), key=lambda job: job.seq)
-                break
-            except RuntimeError:  # pragma: no cover - dict resized mid-read
-                continue
-        else:  # pragma: no cover - persistent contention
-            jobs = []
-        return [
-            {
-                "id": job.job_id,
-                "name": job.spec.display_name,
-                "state": job.state.value,
-                "priority": job.spec.priority,
-                "attempts": job.attempts,
-                "cache_hit": job.cache_hit,
-                "estimated_seconds": job.estimated_seconds,
-                "submitted_at": job.submitted_at,
-                "started_at": job.started_at,
-                "finished_at": job.finished_at,
-                "error": job.error,
-            }
-            for job in jobs
-        ]
-
-    def state_counts(self) -> dict[str, int]:
-        """Job count per state (the ``/healthz`` and ``/metrics`` gauges)."""
-        counts: dict[str, int] = {}
-        for record in self.jobs_snapshot():
-            counts[record["state"]] = counts.get(record["state"], 0) + 1
-        return counts
 
     def snapshot(self) -> dict[str, Any]:
         """The full metrics export for this run."""
@@ -789,24 +668,21 @@ class BatchService:
             "sim_workers": self.sim_workers,
             "deterministic": self.deterministic,
             "seed": self.seed,
-            "memory_budget_bytes": self.admission.budget_bytes,
             "cache_budget_bytes": self.cache.budget_bytes,
         }
         return self.metrics.snapshot(
             cache=self.cache.snapshot(),
-            admission=self.admission.snapshot(),
             config=config,
             supervision=self.supervision_snapshot(),
         )
 
     def supervision_snapshot(self) -> dict[str, Any]:
-        """Watchdog and breaker state, for the export and the gauges."""
+        """Watchdog state, for the export."""
         return {
             "enabled": self.supervision.enabled,
             "stall_timeout_seconds": self.supervision.stall_timeout_seconds,
             "watchdog_reaps": self.supervisor.reaps,
             "watched_jobs": self.supervisor.watched(),
-            "breakers": self.breakers.state_counts(),
         }
 
     def metrics_json(self) -> str:

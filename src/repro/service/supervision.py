@@ -1,25 +1,16 @@
-"""Watchdog supervision and circuit breaking for the batch service.
+"""Watchdog supervision for the batch service.
 
-Two self-healing mechanisms live here:
+The :class:`Supervisor` is a daemon thread watching every RUNNING job's
+:class:`~repro.reliability.cancellation.CancellationToken`.  Workers
+heartbeat the token once per gate; the supervisor reaps a job whose
+deadline has passed or whose heartbeat has gone stale (a stalled worker),
+by *cancelling the token* - reaping is cooperative, the worker raises
+:class:`~repro.errors.JobCancelled` at its next poll and the coordinator
+routes the failure through the normal ``FAILED -> PENDING`` retry edge
+with backoff.
 
-* The :class:`Supervisor` is a daemon thread watching every RUNNING job's
-  :class:`~repro.reliability.cancellation.CancellationToken`.  Workers
-  heartbeat the token once per gate; the supervisor reaps a job whose
-  deadline has passed or whose heartbeat has gone stale (a stalled
-  worker), by *cancelling the token* - reaping is cooperative, the worker
-  raises :class:`~repro.errors.JobCancelled` at its next poll and the
-  coordinator routes the failure through the normal ``FAILED -> PENDING``
-  retry edge with backoff.
-* A :class:`CircuitBreaker` per circuit fingerprint
-  (CLOSED -> OPEN -> HALF_OPEN) fails repeat offenders fast: after
-  ``failure_threshold`` consecutive failures the breaker opens and
-  further attempts for that fingerprint are rejected immediately instead
-  of burning retry budget; after ``cooldown_seconds`` one probe is let
-  through (HALF_OPEN) and its outcome closes or re-opens the breaker.
-
-Neither mechanism mutates job state itself - the coordinator stays the
-single writer.  The supervisor only flips tokens; the breaker only
-answers ``decision()`` queries during dispatch.
+The supervisor never mutates job state itself - the coordinator stays
+the single writer; the supervisor only flips tokens.
 """
 
 from __future__ import annotations
@@ -27,7 +18,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable
 
 from repro.errors import ServiceError
@@ -37,156 +27,12 @@ from repro.reliability.cancellation import CancellationToken
 REAP_KINDS = ("deadline", "stall")
 
 
-# -- circuit breaker --------------------------------------------------------
-
-
-class BreakerState(str, Enum):
-    """Circuit-breaker states (the classic three-state machine)."""
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Circuit-breaker tuning.
-
-    Attributes:
-        failure_threshold: Consecutive failures (per fingerprint) that
-            open the breaker.  The default sits above the default retry
-            budget so plain retry exhaustion never trips it.
-        cooldown_seconds: Time an OPEN breaker waits before letting one
-            probe through (HALF_OPEN).
-    """
-
-    failure_threshold: int = 5
-    cooldown_seconds: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
-            raise ServiceError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.cooldown_seconds < 0:
-            raise ServiceError(
-                f"cooldown_seconds must be >= 0, got {self.cooldown_seconds}"
-            )
-
-
-class CircuitBreaker:
-    """Failure tracker for one circuit fingerprint."""
-
-    def __init__(self, config: BreakerConfig) -> None:
-        self.config = config
-        self.state = BreakerState.CLOSED
-        self.consecutive_failures = 0
-        self.opened_at: float | None = None
-        self.probe_inflight = False
-
-    def decision(self, now: float) -> str:
-        """``allow`` / ``defer`` / ``reject`` for one dispatch attempt.
-
-        ``defer`` means a HALF_OPEN probe is already in flight: hold the
-        job in the queue and let the probe's outcome decide.
-        """
-        if self.state is BreakerState.CLOSED:
-            return "allow"
-        if self.state is BreakerState.OPEN:
-            assert self.opened_at is not None
-            if now - self.opened_at < self.config.cooldown_seconds:
-                return "reject"
-            self.state = BreakerState.HALF_OPEN
-            self.probe_inflight = False
-        if self.probe_inflight:
-            return "defer"
-        self.probe_inflight = True
-        return "allow"
-
-    def record_success(self) -> None:
-        self.consecutive_failures = 0
-        self.probe_inflight = False
-        self.state = BreakerState.CLOSED
-        self.opened_at = None
-
-    def record_failure(self, now: float) -> None:
-        self.consecutive_failures += 1
-        self.probe_inflight = False
-        if (
-            self.state is BreakerState.HALF_OPEN
-            or self.consecutive_failures >= self.config.failure_threshold
-        ):
-            self.state = BreakerState.OPEN
-            self.opened_at = now
-
-
-class BreakerBoard:
-    """All per-fingerprint breakers plus transition accounting.
-
-    Args:
-        config: Shared breaker tuning.
-        on_transition: Callback ``(fingerprint, old_state, new_state)``
-            invoked whenever a breaker changes state (the service counts
-            these into its metrics).
-        now: Injectable monotonic clock (tests freeze it).
-    """
-
-    def __init__(
-        self,
-        config: BreakerConfig | None = None,
-        on_transition: Callable[[str, BreakerState, BreakerState], None] | None = None,
-        now: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.config = config if config is not None else BreakerConfig()
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._on_transition = on_transition
-        self._now = now
-
-    def _get(self, fingerprint: str) -> CircuitBreaker:
-        breaker = self._breakers.get(fingerprint)
-        if breaker is None:
-            breaker = self._breakers[fingerprint] = CircuitBreaker(self.config)
-        return breaker
-
-    def _tracked(self, fingerprint: str, action: Callable[[CircuitBreaker], str | None]):
-        breaker = self._get(fingerprint)
-        before = breaker.state
-        outcome = action(breaker)
-        if breaker.state is not before and self._on_transition is not None:
-            self._on_transition(fingerprint, before, breaker.state)
-        return outcome
-
-    def decision(self, fingerprint: str) -> str:
-        """``allow`` / ``defer`` / ``reject`` for one dispatch attempt."""
-        return self._tracked(fingerprint, lambda b: b.decision(self._now()))
-
-    def record_success(self, fingerprint: str) -> None:
-        self._tracked(fingerprint, lambda b: b.record_success())
-
-    def record_failure(self, fingerprint: str) -> None:
-        self._tracked(fingerprint, lambda b: b.record_failure(self._now()))
-
-    def state_counts(self) -> dict[str, int]:
-        """Breaker count per state, for gauges and ``/readyz``."""
-        counts = {state.value: 0 for state in BreakerState}
-        for breaker in self._breakers.values():
-            counts[breaker.state.value] += 1
-        return counts
-
-    def state_of(self, fingerprint: str) -> BreakerState:
-        breaker = self._breakers.get(fingerprint)
-        return breaker.state if breaker is not None else BreakerState.CLOSED
-
-
-# -- watchdog supervisor ----------------------------------------------------
-
-
 @dataclass(frozen=True)
 class SupervisionConfig:
     """Watchdog tuning.
 
     Attributes:
-        enabled: Master switch (the bench compares enabled vs. disabled).
+        enabled: Master switch (``serve-batch --no-supervision``).
         poll_interval_seconds: Supervisor scan period.
         stall_timeout_seconds: Heartbeat staleness that counts as a hang.
     """
@@ -240,7 +86,6 @@ class Supervisor:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.last_scan_at: float | None = None
         self.reaps = 0
 
     # -- lifecycle ---------------------------------------------------------
@@ -260,11 +105,6 @@ class Supervisor:
         if thread is not None:
             thread.join(timeout=5.0)
             self._thread = None
-
-    @property
-    def alive(self) -> bool:
-        thread = self._thread
-        return thread is not None and thread.is_alive()
 
     def __enter__(self) -> "Supervisor":
         self.start()
@@ -306,7 +146,6 @@ class Supervisor:
     def scan(self, now: float | None = None) -> int:
         """One reap pass; returns jobs reaped.  Public for tests."""
         now = time.monotonic() if now is None else now
-        self.last_scan_at = now
         with self._lock:
             entries = list(self._entries.values())
         reaped = 0

@@ -132,14 +132,6 @@ class SparseState:
             self.apply(gate)
         return self
 
-    def support_trace(self, circuit: QuantumCircuit) -> list[int]:
-        """Support size after each gate (resets to ``|0...0>`` first)."""
-        self.amplitudes = {0: 1.0 + 0.0j}
-        trace = []
-        for gate in circuit:
-            self.apply(gate)
-            trace.append(self.support_size)
-        return trace
 
 
 def simulate_sparse(circuit: QuantumCircuit) -> SparseState:

@@ -84,11 +84,6 @@ class TestTopologicalOrder:
         assert not dag.is_valid_order([0, 0])
         assert not dag.is_valid_order([0])
 
-    def test_edges_listed_once_per_dependency(self) -> None:
-        circ = QuantumCircuit(2).h(0).h(1).cx(0, 1)
-        dag = GateDag(circ)
-        assert dag.as_edges() == [(0, 2), (1, 2)]
-
 
 class TestDiagonalCommutation:
     def test_diagonal_gates_commute_when_enabled(self) -> None:

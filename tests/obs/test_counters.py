@@ -22,14 +22,6 @@ def test_add_is_alias_of_count():
     assert counters.get("bytes.moved_raw") == 1024
 
 
-def test_observe_max_keeps_peak():
-    counters = CounterRegistry()
-    counters.observe_max("queue.depth", 3)
-    counters.observe_max("queue.depth", 7)
-    counters.observe_max("queue.depth", 5)
-    assert counters.get("queue.depth") == 7
-
-
 def test_merge_mapping_and_registry():
     a = CounterRegistry()
     a.count("x", 1)

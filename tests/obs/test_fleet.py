@@ -19,7 +19,6 @@ from repro.obs.fleet import (
     DEFAULT_DEVICE,
     FleetAnalysis,
     fleet_analysis,
-    fleet_gauges,
     render_fleet,
     span_device,
 )
@@ -175,15 +174,6 @@ class TestDesIdentity:
 
 
 class TestOutputs:
-    def test_gauges_are_flat_floats(self, des_spans) -> None:
-        _, spans = des_spans
-        gauges = fleet_gauges(fleet_analysis(spans))
-        assert all(isinstance(v, (int, float)) for v in gauges.values())
-        assert gauges["fleet_devices"] == 4
-        assert gauges["fleet_comm_bytes_total"] > 0
-        assert any(k.startswith("fleet_device_busy_seconds_") for k in gauges)
-        assert any(k.startswith("fleet_link_bytes_") for k in gauges)
-
     def test_render_mentions_every_device_and_link(self, des_spans) -> None:
         _, spans = des_spans
         fa = fleet_analysis(spans)

@@ -54,14 +54,6 @@ class TestHistogram:
         h.observe(5.0)   # bucket exp 3
         assert h.buckets() == {2: 2, 3: 1}
 
-    def test_cumulative_fills_empty_intermediate_buckets(self):
-        h = Histogram("x")
-        h.observe(1.0)   # exp 0
-        h.observe(16.0)  # exp 4
-        pairs = list(h.cumulative())
-        assert [bound for bound, _ in pairs] == [1.0, 2.0, 4.0, 8.0, 16.0]
-        assert [count for _, count in pairs] == [1, 1, 1, 1, 2]
-
     def test_merge_adds_counts_and_tracks_extrema(self):
         a = Histogram("x")
         b = Histogram("x")

@@ -80,7 +80,7 @@ class TestRecords:
         _write_benches(tmp_path)
         record = build_record(tmp_path, timestamp=100.0)
         assert set(record["benches"]) == {"kernels", "planner"}
-        assert sorted(record["missing"]) == ["fleet", "obs", "service"]
+        assert sorted(record["missing"]) == ["fleet", "obs"]
         assert record["mode"] == "smoke"
         assert record["timestamp"] == 100.0
         metrics = record["benches"]["planner"]["metrics"]
@@ -110,7 +110,7 @@ class TestRecords:
         _write_benches(tmp_path)
         text = render_record(build_record(tmp_path, timestamp=1.0))
         assert "kernels" in text and "planner" in text
-        assert "missing : service, obs" in text
+        assert "missing : obs, fleet" in text
 
 
 class TestBaseline:

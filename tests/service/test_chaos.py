@@ -1,32 +1,13 @@
-"""Chaos harness: simulated crashes, torn writes, and full soaks."""
+"""The crashing-journal test fake: simulated crashes and torn writes."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.reliability.faults import FaultEvent, FaultKind, FaultPlan
-from repro.service.chaos import ChaosJournal, SimulatedCrash, run_chaos_soak
-from repro.service.job import JobState
 from repro.service.store import JobStore
-
-
-MANIFEST = {
-    "jobs": [
-        {"family": "bv", "qubits": 6, "shots": 20, "copies": 2},
-        {"family": "gs", "qubits": 5, "copies": 2},
-        {"family": "qft", "qubits": 5, "shots": 10},
-    ]
-}
-
-
-@pytest.fixture()
-def manifest(tmp_path):
-    path = tmp_path / "manifest.json"
-    path.write_text(json.dumps(MANIFEST))
-    return path
+from tests.service.chaos_journal import ChaosJournal, SimulatedCrash
 
 
 class TestChaosJournal:
@@ -79,64 +60,3 @@ class TestChaosJournal:
         journal = ChaosJournal(tmp_path / "j.jsonl", FaultPlan())
         with pytest.raises(ServiceError):
             journal.arm_kill(0)
-
-
-class TestChaosSoak:
-    def test_soak_converges_exactly_once_and_byte_identical(
-        self, tmp_path, manifest
-    ):
-        journal = tmp_path / "soak.jsonl"
-        report = run_chaos_soak(
-            manifest, journal, seed=3, cycles=2, workers=2, stall_rate=0.0
-        )
-        assert report["converged"]
-        assert report["byte_identical"]
-        assert report["violations"] == []
-        assert report["duplicate_cache_entries"] == 0
-        assert report["states"] == {"SUCCEEDED": 5}
-        assert report["crashes"] >= 1  # at least one cycle actually died
-        # The journal is the ground truth: every job terminal exactly once.
-        jobs = JobStore(journal).load()
-        assert len(jobs) == 5
-        assert all(j.state is JobState.SUCCEEDED for j in jobs.values())
-
-    def test_soak_refuses_a_preexisting_journal(self, tmp_path, manifest):
-        journal = tmp_path / "soak.jsonl"
-        journal.write_text("")
-        with pytest.raises(ServiceError, match="already exists"):
-            run_chaos_soak(manifest, journal)
-
-    def test_soak_is_deterministic_in_journal_shape(self, tmp_path, manifest):
-        # Same seed, workers=1: identical crash schedule and append counts.
-        first = run_chaos_soak(
-            manifest, tmp_path / "a.jsonl", seed=9, cycles=2, workers=1,
-            stall_rate=0.0,
-        )
-        second = run_chaos_soak(
-            manifest, tmp_path / "b.jsonl", seed=9, cycles=2, workers=1,
-            stall_rate=0.0,
-        )
-        assert first["journal_appends"] == second["journal_appends"]
-        assert first["crashes"] == second["crashes"]
-        assert [c["appends"] for c in first["cycle_log"]] == [
-            c["appends"] for c in second["cycle_log"]
-        ]
-
-    def test_soak_with_heavy_stalls_is_reaped_not_stuck(self, tmp_path, manifest):
-        # A large stall rate: many attempts hang and must be reaped by
-        # the watchdog (without it, the pool would block forever).  The
-        # retry budget absorbs the reaps and the soak still converges.
-        report = run_chaos_soak(
-            manifest,
-            tmp_path / "soak.jsonl",
-            seed=5,
-            cycles=1,
-            workers=2,
-            crash_rate=0.0,
-            torn_rate=0.0,
-            cache_corrupt_rate=0.0,
-            stall_rate=0.4,
-            stall_timeout=0.1,
-        )
-        assert report["converged"]
-        assert report["violations"] == []

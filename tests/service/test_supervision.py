@@ -1,21 +1,15 @@
-"""Watchdog supervisor, circuit breakers, and cancellation tokens."""
+"""Watchdog supervisor and cancellation tokens."""
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from repro.errors import JobCancelled, ServiceError
 from repro.reliability.cancellation import USER_KINDS, CancellationToken
-from repro.service.supervision import (
-    BreakerBoard,
-    BreakerConfig,
-    BreakerState,
-    CircuitBreaker,
-    SupervisionConfig,
-    Supervisor,
-)
+from repro.service.supervision import SupervisionConfig, Supervisor
 
 
 class TestCancellationToken:
@@ -117,78 +111,10 @@ class TestSupervisorScan:
                 time.sleep(0.01)
         assert token.cancelled
         assert reaped == ["stall"]
-        assert not sup.alive
+        assert "job-supervisor" not in {t.name for t in threading.enumerate()}
 
     def test_config_validation(self):
         with pytest.raises(ServiceError):
             SupervisionConfig(poll_interval_seconds=0.0)
         with pytest.raises(ServiceError):
             SupervisionConfig(stall_timeout_seconds=-1.0)
-
-
-class TestCircuitBreaker:
-    def test_opens_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(BreakerConfig(failure_threshold=3))
-        now = 100.0
-        for _ in range(2):
-            breaker.record_failure(now)
-        assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure(now)
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.decision(now + 0.1) == "reject"
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(BreakerConfig(failure_threshold=2))
-        breaker.record_failure(1.0)
-        breaker.record_success()
-        breaker.record_failure(2.0)
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_cooldown_admits_a_single_probe(self):
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=1, cooldown_seconds=10.0)
-        )
-        breaker.record_failure(0.0)
-        assert breaker.decision(5.0) == "reject"  # still cooling
-        assert breaker.decision(11.0) == "allow"  # the half-open probe
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert breaker.decision(11.1) == "defer"  # one probe at a time
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-        assert breaker.decision(11.2) == "allow"
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(
-            BreakerConfig(failure_threshold=1, cooldown_seconds=10.0)
-        )
-        breaker.record_failure(0.0)
-        assert breaker.decision(11.0) == "allow"
-        breaker.record_failure(12.0)
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.decision(13.0) == "reject"
-        assert breaker.decision(23.0) == "allow"  # cooldown restarts from 12.0
-
-    def test_config_validation(self):
-        with pytest.raises(ServiceError):
-            BreakerConfig(failure_threshold=0)
-        with pytest.raises(ServiceError):
-            BreakerConfig(cooldown_seconds=-1.0)
-
-
-class TestBreakerBoard:
-    def test_per_fingerprint_isolation_and_transitions(self):
-        transitions = []
-        clock = iter(float(i) for i in range(100))
-        board = BreakerBoard(
-            BreakerConfig(failure_threshold=1, cooldown_seconds=1000.0),
-            on_transition=lambda fp, old, new: transitions.append(
-                (fp, old.value, new.value)
-            ),
-            now=lambda: next(clock),
-        )
-        board.record_failure("aaaa")
-        assert board.decision("aaaa") == "reject"
-        assert board.decision("bbbb") == "allow"  # other circuits unaffected
-        assert transitions == [("aaaa", "closed", "open")]
-        assert board.state_counts() == {"closed": 1, "half_open": 0, "open": 1}
-        assert board.state_of("aaaa") is BreakerState.OPEN

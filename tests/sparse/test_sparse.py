@@ -84,12 +84,6 @@ class TestSupportTracking:
                 state.apply(gate)
                 assert state.support_size <= tracker.live_amplitudes, family
 
-    def test_support_trace_resets(self) -> None:
-        circuit = QuantumCircuit(2).h(0).h(1)
-        state = simulate_sparse(circuit)
-        trace = state.support_trace(circuit)
-        assert trace == [2, 4]
-
     def test_norm_preserved(self) -> None:
         state = simulate_sparse(get_circuit("qaoa", 8))
         assert state.norm() == pytest.approx(1.0, abs=1e-9)

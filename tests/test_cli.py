@@ -221,6 +221,190 @@ class TestServeBatch:
         with pytest.raises(SystemExit):
             main(["serve-batch"])
 
+    def test_cache_budget_defaults_to_the_library_default(self, tmp_path) -> None:
+        import json
+
+        from repro.service import DEFAULT_CACHE_BUDGET
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"family": "bv", "qubits": 6}]))
+        metrics = tmp_path / "metrics.json"
+        assert main(["serve-batch", "--manifest", str(manifest),
+                     "--workers", "1", "--metrics", str(metrics)]) == 0
+        config = json.loads(metrics.read_text())["config"]
+        assert config["cache_budget_bytes"] == DEFAULT_CACHE_BUDGET
+
+    def test_journal_survives_compact_and_status(self, tmp_path, capsys) -> None:
+        import json
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([
+            {"family": "bv", "qubits": 6, "shots": 5, "copies": 2},
+        ]))
+        journal = tmp_path / "jobs.jsonl"
+        assert main(["serve-batch", "--manifest", str(manifest),
+                     "--workers", "2", "--journal", str(journal)]) == 0
+        assert main(["compact", "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        assert main(["status", "--journal", str(journal)]) == 0
+        assert capsys.readouterr().out.count("SUCCEEDED") == 2
+
+    def test_explicit_cache_mb_is_decimal_megabytes(self, tmp_path) -> None:
+        import json
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"family": "bv", "qubits": 6}]))
+        metrics = tmp_path / "metrics.json"
+        assert main(["serve-batch", "--manifest", str(manifest), "--workers", "1",
+                     "--cache-mb", "2", "--metrics", str(metrics)]) == 0
+        config = json.loads(metrics.read_text())["config"]
+        assert config["cache_budget_bytes"] == 2_000_000
+
+    def test_manifest_with_journal_runs_the_journals_pending_jobs(
+        self, tmp_path, capsys
+    ) -> None:
+        import json
+
+        journal = str(tmp_path / "jobs.jsonl")
+        assert main(["submit", "--family", "gs", "--qubits", "6",
+                     "--journal", journal]) == 0
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"family": "bv", "qubits": 6}]))
+        assert main(["serve-batch", "--manifest", str(manifest),
+                     "--workers", "1", "--journal", journal]) == 0
+        capsys.readouterr()
+        assert main(["status", "--journal", journal]) == 0
+        out = capsys.readouterr().out
+        assert out.count("SUCCEEDED") == 2
+        assert "PENDING" not in out
+
+    def test_manifest_with_journal_recovers_a_crashed_serve(
+        self, tmp_path, capsys
+    ) -> None:
+        import json
+
+        from repro.reliability.faults import FaultPlan
+        from repro.service import BatchService, JobSpec, JobState, JobStore
+        from tests.service.chaos_journal import ChaosJournal, SimulatedCrash
+
+        path = tmp_path / "jobs.jsonl"
+        crashed = ChaosJournal(path, FaultPlan())
+        service = BatchService(workers=1, journal=crashed)
+        service.submit(JobSpec(family="gs", qubits=6))
+        crashed.arm_kill(3)  # ADMITTED, RUNNING, then die before SUCCEEDED
+        with pytest.raises(SimulatedCrash):
+            service.run_until_complete()
+        assert JobStore(path).get("j0001").state is JobState.RUNNING
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"family": "bv", "qubits": 6}]))
+        assert main(["serve-batch", "--manifest", str(manifest),
+                     "--workers", "1", "--journal", str(path)]) == 0
+        jobs = JobStore(path).load()
+        assert sorted(jobs) == ["j0001", "j0002"]
+        assert all(job.state is JobState.SUCCEEDED for job in jobs.values())
+
+    def test_serving_a_manifest_twice_hits_its_recovered_results(
+        self, tmp_path
+    ) -> None:
+        import json
+
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([
+            {"family": "bv", "qubits": 6}, {"family": "gs", "qubits": 6},
+        ]))
+        journal = str(tmp_path / "jobs.jsonl")
+        metrics = tmp_path / "metrics.json"
+        for _ in range(2):
+            assert main(["serve-batch", "--manifest", str(manifest),
+                         "--workers", "1", "--journal", journal,
+                         "--metrics", str(metrics)]) == 0
+        # The second serve seeds its cache from the journal's results, so
+        # resubmitting the same manifest recomputes nothing.
+        cache = json.loads(metrics.read_text())["cache"]
+        assert (cache["hits"], cache["misses"]) == (2, 0)
+
+
+class TestRetiredSurface:
+    """Options and commands that the service and CLI census retired.
+
+    DESIGN.md's census records each with a re-open condition; these pin
+    that the parser no longer accepts them.
+    """
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--manifest", "jobs.json"],
+            ["serve-batch", "--manifest", "jobs.json", "--http-port", "0"],
+            ["serve-batch", "--manifest", "jobs.json", "--http-host", "127.0.0.1"],
+            ["serve-batch", "--manifest", "jobs.json", "--http-linger", "1"],
+            ["serve-batch", "--manifest", "jobs.json", "--memory-budget-gb", "1"],
+            ["trace", "analyze", "trace.json", "--prom", "fleet.prom"],
+        ],
+        ids=["chaos", "http-port", "http-host", "http-linger",
+             "memory-budget-gb", "prom"],
+    )
+    def test_parser_rejects(self, argv, capsys) -> None:
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+
+    def test_census_lists_every_command_and_keeps_only_parsed_ones(self) -> None:
+        import argparse
+        import re
+
+        from repro.cli import build_parser
+
+        sub = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        commands = set(sub.choices)
+        design = Path(__file__).resolve().parents[1] / "DESIGN.md"
+        section = design.read_text().split("### Service and CLI census", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        decisions: dict[str, str] = {}
+        for row in section.splitlines():
+            cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+            if len(cells) != 5:
+                continue
+            # A row names a command as a code span of plain words
+            # (`serve-batch`, `bench ledger`); spans with options name one
+            # of the command's features instead.
+            for span in re.findall(r"`([^`]+)`", cells[0]):
+                words = span.split()
+                if not any(word.startswith("-") for word in words):
+                    decisions.setdefault(words[0], cells[3])
+        assert commands <= set(decisions), sorted(commands - set(decisions))
+        for name in commands:
+            assert decisions[name].startswith("keep"), (name, decisions[name])
+        assert decisions["chaos"].startswith("retired")
+        assert "chaos" not in commands
+
+
+class TestBenchLedger:
+    #: The committed ledger record predates the retirement of the
+    #: ``BENCH_service.json`` source and still holds a ``service`` entry.
+    LEDGER = Path(__file__).resolve().parents[1] / "BENCH_LEDGER.jsonl"
+
+    def test_show_renders_the_committed_record(self, capsys) -> None:
+        assert main(["bench", "ledger", "show", "--ledger", str(self.LEDGER)]) == 0
+        out = capsys.readouterr().out
+        assert "service" in out
+        assert "1 record(s)" in out
+
+    def test_diff_runs_on_the_committed_record(self, tmp_path, capsys) -> None:
+        assert main(["bench", "ledger", "diff", "--ledger", str(self.LEDGER)]) == 0
+        assert "nothing to compare" in capsys.readouterr().out
+        # Against itself, every bench of the record - service included -
+        # is compared and nothing regresses.
+        twice = tmp_path / "ledger.jsonl"
+        twice.write_text(self.LEDGER.read_text() * 2)
+        assert main(["bench", "ledger", "diff", "--ledger", str(twice)]) == 0
+        assert "0 regression(s)" in capsys.readouterr().out
+
 
 class TestObservability:
     def test_simulate_writes_trace_and_metrics(self, tmp_path, capsys) -> None:
@@ -461,22 +645,6 @@ class TestTraceAnalytics:
         assert "no spans" in captured.err
 
 
-class TestServeBatchHttp:
-    def test_http_port_flag_serves_and_shuts_down(self, tmp_path, capsys) -> None:
-        import json
-
-        manifest = tmp_path / "jobs.json"
-        manifest.write_text(json.dumps([
-            {"family": "bv", "qubits": 6},
-            {"family": "gs", "qubits": 6},
-        ]))
-        assert main(["serve-batch", "--manifest", str(manifest),
-                     "--workers", "1", "--http-port", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "observability endpoint: http://127.0.0.1:" in out
-        assert "2 submitted, 2 succeeded" in out
-
-
 class TestFleetCli:
     def _fleet_trace(self, tmp_path) -> str:
         trace = tmp_path / "fleet.trace.json"
@@ -515,14 +683,12 @@ class TestFleetCli:
 
     def test_analyze_fleet_reports_comm_identity(self, tmp_path, capsys) -> None:
         import json
-        import re
 
         trace = self._fleet_trace(tmp_path)
         capsys.readouterr()
         out_json = tmp_path / "fleet.json"
-        prom = tmp_path / "fleet.prom"
         assert main(["trace", "analyze", trace, "--fleet",
-                     "--json", str(out_json), "--prom", str(prom)]) == 0
+                     "--json", str(out_json)]) == 0
         out = capsys.readouterr().out
         assert "imbalance" in out
         assert "gpu0" in out and "gpu3" in out
@@ -538,14 +704,6 @@ class TestFleetCli:
         )
         assert matrix_total == fleet["total_bytes"]
         assert len(fleet["devices"]) == 4
-
-        prom_text = prom.read_text()
-        assert "# TYPE" in prom_text
-        match = re.search(
-            r"^repro_fleet_comm_bytes_total (\S+)$", prom_text, re.MULTILINE
-        )
-        assert match is not None
-        assert float(match.group(1)) == fleet["total_bytes"]
 
     def test_analyze_without_fleet_flag_omits_report(self, tmp_path, capsys) -> None:
         import json

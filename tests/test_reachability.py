@@ -1,4 +1,5 @@
-"""Every module in ``src/repro`` is reached from a front door, or is an oracle.
+"""Every module in ``src/repro`` is reached from a front door, or is an oracle;
+every public name in it is referenced by the program, or is a test seam.
 
 The walk builds a static import graph over the package, counting imports
 inside function bodies too (the CLI imports its commands lazily), and
@@ -15,6 +16,12 @@ submodule that defines ``name``: a re-export in an ``__init__`` alone does
 not reach a module.  A module no door reaches must be on :data:`ORACLES`
 with a reason, and an oracle must stay off every door's import path, both
 statically and at run time.
+
+The function-level pass collects the public functions, classes and methods
+of every non-oracle module and fails on any name that no file under
+``src/``, ``examples/`` or ``bench/`` mentions, unless :data:`TEST_SEAMS`
+lists it with a reason.  A mention is an identifier, an attribute or an
+imported name; the match is by name, so it errs towards "referenced".
 """
 
 from __future__ import annotations
@@ -173,3 +180,127 @@ def test_importing_a_door_loads_no_oracle(door: str) -> None:
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "[]", completed.stdout
+
+
+# -- function level ------------------------------------------------------------
+
+REPO = SRC.parents[1]
+PROGRAM_DIRS = ("src", "examples", "bench")
+
+#: Public names the program never mentions, kept because tests use them.
+TEST_SEAMS = {
+    "repro.analysis.capacity:capacity_gain": (
+        "the Sec. V-D compressed-capacity extension, checked by the capacity "
+        "tests and benchmarks/test_ext_compressed_capacity.py"
+    ),
+    "repro.analysis.capacity:CapacityGain.extra_qubits": (
+        "the qubits capacity_gain's record adds, asserted by the same checks"
+    ),
+    "repro.analysis.roofline:RooflinePoint.memory_bound": (
+        "the roofline and Fig. 15 tests assert which kernels are memory bound"
+    ),
+    "repro.circuits.circuit:QuantumCircuit.gate_counts": (
+        "per-gate histogram the library tests check the generators with"
+    ),
+    "repro.circuits.circuit:QuantumCircuit.involvement_profile": (
+        "per-qubit involvement the reorder tests check Algorithm 3 against"
+    ),
+    "repro.circuits.dag:GateDag.topological_order": (
+        "reference order the DAG tests feed to is_valid_order"
+    ),
+    "repro.circuits.dag:GateDag.is_valid_order": (
+        "dependency oracle every reorder permutation is checked against"
+    ),
+    "repro.core.planner:ExecutionPlan.speedup_over": (
+        "the planner tests state the paper's speedups over Baseline with it"
+    ),
+    "repro.hardware.topology:Topology.peer_links": (
+        "the topology tests check each builder's device-to-device links"
+    ),
+    "repro.reliability.faults:FaultPlan.journal_torn_write": (
+        "service-level fault kind the crashing-journal test fake "
+        "(tests/service/chaos_journal.py) draws torn writes from"
+    ),
+    "repro.reliability.faults:FaultPlan.to_spec": (
+        "inverse of FaultPlan.from_spec; the spec parser is round-trip "
+        "tested against it"
+    ),
+    "repro.stabilizer.tableau:StabilizerState.measure_all": (
+        "per-shot tableau sampler the one-product readout is checked "
+        "byte-identical against"
+    ),
+    "repro.statevector.chunks:ChunkedStateVector.apply_groups": (
+        "group-level sweep the parallel and subcube tests drive below the "
+        "fused op stream"
+    ),
+    "repro.statevector.chunks:ChunkedStateVector.chunk_is_zero": (
+        "checks that chunks outside the live subcube stay exactly zero "
+        "after every op"
+    ),
+    "repro.statevector.state:StateVector.reset": (
+        "mid-circuit reset on the reference state vector, checked by the "
+        "mid-circuit measurement tests"
+    ),
+}
+
+
+def _public_names() -> set[str]:
+    """``module:name`` and ``module:Class.method`` for every public def."""
+    from repro.circuits.gates import GATE_SPECS
+
+    names = set()
+    for module, tree in TREES.items():
+        if module in ORACLES:
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_"):
+                continue
+            names.add(f"{module}:{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                    continue
+                # One builder per gate is the circuit API's gate set.
+                if node.name == "QuantumCircuit" and item.name in GATE_SPECS:
+                    continue
+                names.add(f"{module}:{node.name}.{item.name}")
+    return names
+
+
+def _program_mentions() -> set[str]:
+    mentioned = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted((REPO / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name):
+                    mentioned.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    mentioned.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    mentioned.add((node.asname or node.name).rsplit(".", 1)[-1])
+    return mentioned
+
+
+def _unreferenced() -> set[str]:
+    mentioned = _program_mentions()
+    return {
+        name for name in _public_names()
+        if name.rsplit(":", 1)[1].rsplit(".", 1)[-1] not in mentioned
+    }
+
+
+def test_every_public_name_is_referenced_or_a_test_seam() -> None:
+    unlisted = sorted(_unreferenced() - set(TEST_SEAMS))
+    assert not unlisted, (
+        f"nothing under {PROGRAM_DIRS} mentions {unlisted}: delete each, or "
+        "add it to TEST_SEAMS with a reason"
+    )
+
+
+def test_test_seams_are_public_and_still_unreferenced() -> None:
+    assert set(TEST_SEAMS) <= _public_names(), sorted(set(TEST_SEAMS) - _public_names())
+    stale = sorted(set(TEST_SEAMS) - _unreferenced())
+    assert not stale, f"the program now uses {stale}: drop them from TEST_SEAMS"
