@@ -1,8 +1,9 @@
 """Measured planner benchmark: selection accuracy and speedup vs always-dense.
 
 For each benchmark circuit the adaptive planner (``repro.planner.plan``)
-picks a backend; this benchmark then *measures* every feasible backend on
-the same circuit in the same process and scores the planner two ways:
+picks a backend; this benchmark then *measures* every feasible backend of
+``auto``'s pool (:data:`repro.planner.AUTO_BACKENDS`) on the same circuit
+in the same process and scores the planner two ways:
 
 * **selection accuracy** - the fraction of circuits where the planner's
   pick is (within a noise tolerance) the measured-fastest feasible
@@ -40,7 +41,13 @@ from pathlib import Path
 
 from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
-from repro.planner import DEFAULT_CONFIG, all_backend_costs, analyze_circuit, plan
+from repro.planner import (
+    AUTO_BACKENDS,
+    DEFAULT_CONFIG,
+    all_backend_costs,
+    analyze_circuit,
+    plan,
+)
 
 SMOKE = os.environ.get("QGPU_BENCH_SMOKE", "") not in ("", "0")
 
@@ -85,8 +92,8 @@ def _measure_case(family: str, qubits: int, expected: str) -> dict:
         plan_best = min(plan_best, time.perf_counter() - start)
     features = analyze_circuit(circuit)
     measured: dict[str, float] = {}
-    for cost in all_backend_costs(features):
-        if not cost.feasible or cost.approximate:
+    for cost in all_backend_costs(features, backends=AUTO_BACKENDS):
+        if not cost.feasible:
             continue
         measured[cost.backend] = _time_run(
             QGpuSimulator(backend=cost.backend), circuit

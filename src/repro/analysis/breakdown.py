@@ -34,10 +34,6 @@ class Breakdown:
     transfer: float
     codec: float
 
-    @property
-    def other(self) -> float:
-        return max(0.0, 1.0 - self.cpu - self.gpu - self.transfer - self.codec)
-
 
 def breakdown(result: TimedResult) -> Breakdown:
     """Compute the category shares of a timed run."""

@@ -13,8 +13,9 @@ Subcommands:
 
 * ``simulate`` - exact functional simulation with the Q-GPU pipeline
   (reordering + chunking + pruning), printing sampled counts;
-* ``estimate`` - the performance model: per-version modelled times on a
-  chosen machine;
+* ``estimate`` - the performance model: modelled times on a chosen
+  machine for the six paper versions, the two pruning extensions and the
+  CPU-OpenMP comparator;
 * ``experiment`` - run registered paper reproductions by id;
 * ``profile`` - measure a family's GFC compression profile;
 * ``transpile`` - decompose/merge/cancel a circuit and print QASM
@@ -32,7 +33,8 @@ Subcommands:
 circuit-aware backend planner, see ``docs/planner.md``) and
 ``--precision`` (``single``/``auto`` run the dense engine in complex64
 with a norm-guarded complex128 fallback); ``plan`` prints the planner's
-per-backend cost table.  ``simulate`` also understands ``--fault-plan``,
+per-backend cost table, or every backend's rejection when ``auto`` has
+nothing it can vouch for.  ``simulate`` also understands ``--fault-plan``,
 ``--checkpoint-every``,
 ``--checkpoint`` and ``--resume`` (see ``docs/reliability.md``), and
 ``--trace FILE`` / ``--metrics FILE`` for observability exports; ``trace
@@ -54,7 +56,12 @@ from repro.circuits.passes import transpile
 from repro.circuits.qasm import from_qasm, to_qasm
 from repro.compression.profile import measure_profile
 from repro.core.simulator import QGpuSimulator
-from repro.core.versions import ALL_VERSIONS, VERSIONS_BY_NAME
+from repro.core.versions import (
+    ALL_VERSIONS,
+    QGPU_BASIS_TRACKING,
+    QGPU_DIAGONAL_AWARE,
+    VERSIONS_BY_NAME,
+)
 from repro.errors import ReproError
 from repro.hardware.specs import MACHINES
 from repro.obs.log import configure_logging, get_logger
@@ -213,14 +220,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from repro.comparisons.models import estimate_cpu_openmp
+
     circuit = _load_circuit(args)
     machine = MACHINES[args.machine]
+    timings = [
+        QGpuSimulator(machine=machine, version=version).estimate(circuit)
+        for version in (*ALL_VERSIONS, QGPU_DIAGONAL_AWARE, QGPU_BASIS_TRACKING)
+    ]
+    timings.append(estimate_cpu_openmp(circuit, machine=machine))
     print(f"{circuit.name} on {machine.name}")
-    print(f"{'version':<10} {'seconds':>12} {'transfer_s':>12} {'GB moved':>10}")
-    for version in ALL_VERSIONS:
-        timing = QGpuSimulator(machine=machine, version=version).estimate(circuit)
+    print(f"{'version':<12} {'seconds':>12} {'transfer_s':>12} {'GB moved':>10}")
+    for timing in timings:
         moved = (timing.bytes_h2d + timing.bytes_d2h) / 1e9
-        print(f"{version.name:<10} {timing.total_seconds:>12.2f} "
+        print(f"{timing.version:<12} {timing.total_seconds:>12.2f} "
               f"{timing.transfer_seconds:>12.2f} {moved:>10.1f}")
     return 0
 
@@ -261,28 +274,18 @@ def _cmd_transpile(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    from repro.core.planner import plan_execution
-    from repro.errors import SimulationError
     from repro.planner import PlannerConfig, plan as plan_backend
 
     circuit = _load_circuit(args)
-    machine = MACHINES[args.machine]
     config = PlannerConfig(
-        machine=machine,
+        machine=MACHINES[args.machine],
         backend=args.backend,
         precision=args.precision,
         max_bond=args.max_bond,
     )
     backend_plan = plan_backend(circuit, config)
     print(backend_plan.render())
-    if backend_plan.backend == "statevector":
-        # The dense engine is also priced per version by the DES model;
-        # append that ranking so one command shows both decisions.
-        try:
-            print()
-            print(plan_execution(circuit, machine=machine).render())
-        except SimulationError:
-            pass  # circuit outside the DES model's envelope
+    print("  modelled times of the dense engine's versions: repro estimate")
     return 0
 
 
@@ -900,7 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_options(transpile_cmd)
     transpile_cmd.set_defaults(fn=_cmd_transpile)
 
-    plan = sub.add_parser("plan", help="rank engines/versions for a workload")
+    plan = sub.add_parser("plan", help="choose a backend for a workload")
     _add_circuit_options(plan)
     plan.add_argument("--machine", default="p100", choices=sorted(MACHINES))
     from repro.planner import BACKEND_CHOICES, PRECISION_CHOICES

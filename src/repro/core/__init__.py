@@ -7,7 +7,6 @@ from repro.core.executor import (
     TimedExecutor,
     TimedResult,
 )
-from repro.core.planner import ExecutionPlan, PlanEntry, plan_execution
 from repro.core.liveness import (
     LiveTracker,
     involvement_trace,
@@ -37,10 +36,7 @@ __all__ = [
     "DEFAULT_CHUNK_BITS",
     "DetailedExecutor",
     "DetailedRun",
-    "ExecutionPlan",
     "FunctionalResult",
-    "PlanEntry",
-    "plan_execution",
     "GateTiming",
     "GroupAssignment",
     "LiveTracker",

@@ -724,7 +724,8 @@ class QGpuSimulator:
 
         Circuits this simulator routes to the dense chunked engine are
         priced by the timed DES model; circuits routed elsewhere (a
-        forced or auto-selected tableau / hash-map / MPS backend)
+        forced or auto-selected tableau / hash-map backend, or a forced
+        MPS one)
         delegate to the planner's calibrated per-backend estimator - the
         DES model knows nothing about those engines and silently pricing
         them as dense is exactly the wrong answer this used to give.

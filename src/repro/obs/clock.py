@@ -1,6 +1,6 @@
 """The two clocks every observability reading is taken against.
 
-Both implement the same two-method interface (:meth:`tick` / :meth:`now`):
+Both implement the same one-method interface (:meth:`tick`):
 
 * :class:`WallClock` - ``time.monotonic`` seconds, zeroed at construction;
   right for real throughput and latency numbers.
@@ -33,9 +33,6 @@ class WallClock:
         """Advance (a no-op for wall time) and return the current reading."""
         return time.monotonic() - self._start
 
-    def now(self) -> float:
-        return time.monotonic() - self._start
-
 
 class LogicalClock:
     """Event counter: each observed event is one tick.
@@ -56,6 +53,3 @@ class LogicalClock:
         with self._lock:
             self._now += 1
             return self._now
-
-    def now(self) -> int:
-        return self._now

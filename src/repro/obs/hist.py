@@ -110,11 +110,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    def buckets(self) -> dict[int, int]:
-        """Per-exponent (non-cumulative) counts, sorted by exponent."""
-        with self._lock:
-            return dict(sorted(self._buckets.items()))
-
     def snapshot(self) -> dict[str, Any]:
         """Deterministic JSON-safe summary (bounds stringified, sorted)."""
         with self._lock:

@@ -139,10 +139,6 @@ class SamplingProfiler:
         """Adopt ``tracer`` as the stage-attribution source."""
         self.tracer = tracer
 
-    @property
-    def running(self) -> bool:
-        return self._thread is not None and self._thread.is_alive()
-
     def start(self) -> "SamplingProfiler":
         """Start the background sampler thread; returns self for chaining."""
         if self._thread is not None:

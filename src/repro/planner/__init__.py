@@ -23,6 +23,7 @@ from repro.planner.costs import (
 from repro.planner.engines import BackendExecution, run_backend
 from repro.planner.features import CircuitFeatures, analyze_circuit
 from repro.planner.plan import (
+    AUTO_BACKENDS,
     BACKEND_CHOICES,
     BackendPlan,
     DEFAULT_CONFIG,
@@ -40,6 +41,7 @@ from repro.planner.precision import (
 from repro.reliability.integrity import norm_deviation
 
 __all__ = [
+    "AUTO_BACKENDS",
     "BACKENDS",
     "BACKEND_CHOICES",
     "BackendCost",

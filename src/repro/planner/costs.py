@@ -162,7 +162,7 @@ def _sparse_cost(features: CircuitFeatures, machine: MachineSpec) -> BackendCost
     support = (
         features.probe_support_peak
         if features.probe_completed
-        else features.support_bound_peak
+        else features.support_bound_final
     )
     memory = float(2 * support * SPARSE_ENTRY_BYTES)  # old + rebuilt dict
     if memory > machine.host_memory_bytes:

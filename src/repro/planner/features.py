@@ -8,7 +8,7 @@ the same features, which is what makes planning reproducible.
 
 Feature groups (see ``docs/planner.md`` for the full definitions):
 
-* **Size/shape**: qubit count, gate count, depth, diagonal fraction.
+* **Size/shape**: qubit count, gate count, depth, fused sweep count.
 * **Clifford structure**: exact membership via
   :func:`repro.stabilizer.is_clifford_circuit` plus the Clifford gate
   fraction (how far from the tableau engine a mixed circuit is).
@@ -20,8 +20,7 @@ Feature groups (see ``docs/planner.md`` for the full definitions):
   that the structural bound cannot see through amplitude cancellation.
 * **Entanglement**: a per-cut bond-growth proxy for the MPS engine (every
   multi-qubit gate can at most double the Schmidt rank across each cut it
-  spans) and two-qubit-gate locality, which prices the swap routing
-  non-adjacent gates need on the chain.
+  spans), with the swap routing non-adjacent gates need on the chain.
 """
 
 from __future__ import annotations
@@ -65,29 +64,19 @@ class CircuitFeatures:
         num_qubits: Register width ``n``.
         num_gates: Total gate count.
         depth: Circuit depth (parallel gate layers).
-        diagonal_fraction: Fraction of gates diagonal in the computational
-            basis.
         is_clifford: Every gate is in the tableau engine's gate set.
         clifford_fraction: Fraction of gates in the Clifford subset.
-        two_qubit_gates: Number of gates touching >= 2 qubits.
-        mean_gate_span: Mean of ``max(qubits) - min(qubits)`` over
-            multi-qubit gates (1.0 = nearest-neighbour; prices MPS swap
-            routing).  0.0 when there are no multi-qubit gates.
-        support_bound_final: Structural (involvement) bound on the final
+        support_bound_final: Structural (involvement) bound on the
             non-zero amplitude count, ``2^involved`` capped at ``2^n``.
-        support_bound_peak: Maximum of the structural bound along the
-            circuit (equals the final bound - involvement only grows).
+            Involvement only grows, so this is also the bound's peak.
         probe_completed: The bounded sparse probe ran the whole circuit
             without exceeding its ceilings.
         probe_support_peak: Peak exact support seen by the probe (only
             meaningful when ``probe_completed``; otherwise the support at
             abort time, a lower bound).
-        probe_support_ops: ``sum(support_before_gate * 2^k)`` over probed
-            gates - the hash-map engine's exact work integral when the
-            probe completed.
-        sparse_ops: Work integral priced for the sparse backend: the
-            probe's exact integral when it completed, else the structural
-            bound's integral (which is what makes dense-support circuits
+        sparse_ops: Work integral priced for the sparse backend,
+            ``sum(support * 2^k)`` over gates: the probe's exact support
+            when it completed, else the structural bound's window (which is what makes dense-support circuits
             price the sparse engine out).
         dense_amp_ops: ``sum(live_amplitudes * touched_factor)`` over
             gates under the involvement window - the dense engine's
@@ -113,16 +102,11 @@ class CircuitFeatures:
     num_qubits: int
     num_gates: int
     depth: int
-    diagonal_fraction: float
     is_clifford: bool
     clifford_fraction: float
-    two_qubit_gates: int
-    mean_gate_span: float
     support_bound_final: int
-    support_bound_peak: int
     probe_completed: bool
     probe_support_peak: int
-    probe_support_ops: float
     sparse_ops: float
     dense_amp_ops: float
     fused_sweeps: int
@@ -132,11 +116,7 @@ class CircuitFeatures:
     mps_truncates: bool
 
 
-def _sparse_probe(
-    circuit: QuantumCircuit,
-    support_ceiling: int,
-    gate_ceiling: int,
-) -> tuple[bool, int, float]:
+def _sparse_probe(circuit: QuantumCircuit) -> tuple[bool, int, float]:
     """Run the circuit on the hash-map engine until a ceiling trips.
 
     Returns ``(completed, peak_support, support_ops)``.  The probe is the
@@ -150,12 +130,12 @@ def _sparse_probe(
     ops = 0.0
     for index, gate in enumerate(circuit):
         cost = state.support_size * (1 << gate.num_qubits)
-        if index >= gate_ceiling or ops + cost > PROBE_WORK_CEILING:
+        if index >= PROBE_GATE_CEILING or ops + cost > PROBE_WORK_CEILING:
             return False, peak, ops
         ops += cost
         state.apply(gate)
         peak = max(peak, state.support_size)
-        if state.support_size > support_ceiling:
+        if state.support_size > PROBE_SUPPORT_CEILING:
             return False, peak, ops
     return True, peak, ops
 
@@ -205,11 +185,7 @@ def _bond_growth(
 
 
 def analyze_circuit(
-    circuit: QuantumCircuit,
-    *,
-    bond_cap: int = 64,
-    probe_support_ceiling: int = PROBE_SUPPORT_CEILING,
-    probe_gate_ceiling: int = PROBE_GATE_CEILING,
+    circuit: QuantumCircuit, *, bond_cap: int = 64
 ) -> CircuitFeatures:
     """Extract the planner's static feature vector from ``circuit``.
 
@@ -225,10 +201,7 @@ def analyze_circuit(
         raise AnalysisError(f"bond_cap must be >= 1, got {bond_cap}")
     n = circuit.num_qubits
     num_gates = len(circuit)
-    diagonal = sum(1 for gate in circuit if gate.is_diagonal)
     clifford_gates = sum(1 for gate in circuit if gate.name in CLIFFORD_GATES)
-    multi = [gate for gate in circuit if gate.num_qubits >= 2]
-    spans = [max(g.qubits) - min(g.qubits) for g in multi]
 
     # Structural support bound and the dense pruning-window work integral.
     tracker = LiveTracker(n)
@@ -240,9 +213,7 @@ def analyze_circuit(
         bound_ops += float(live) * (1 << gate.num_qubits)
     support_bound = min(tracker.live_amplitudes, 1 << n)
 
-    completed, probe_peak, probe_ops = _sparse_probe(
-        circuit, probe_support_ceiling, probe_gate_ceiling
-    )
+    completed, probe_peak, probe_ops = _sparse_probe(circuit)
     bond_peak, mps_ops, truncates = _bond_growth(circuit, bond_cap)
 
     # Imported lazily: the fusion pass lives in the statevector package,
@@ -256,16 +227,11 @@ def analyze_circuit(
         num_qubits=n,
         num_gates=num_gates,
         depth=circuit.depth(),
-        diagonal_fraction=diagonal / num_gates if num_gates else 0.0,
         is_clifford=is_clifford_circuit(circuit),
         clifford_fraction=clifford_gates / num_gates if num_gates else 0.0,
-        two_qubit_gates=len(multi),
-        mean_gate_span=sum(spans) / len(spans) if spans else 0.0,
         support_bound_final=support_bound,
-        support_bound_peak=support_bound,
         probe_completed=completed,
         probe_support_peak=probe_peak,
-        probe_support_ops=probe_ops,
         sparse_ops=probe_ops if completed else bound_ops,
         dense_amp_ops=dense_ops,
         fused_sweeps=fused_sweeps,

@@ -2,11 +2,13 @@
 
 The planner glues the static features (:mod:`repro.planner.features`) to
 the per-backend prices (:mod:`repro.planner.costs`) and picks the
-cheapest *feasible, exact* backend, falling back to an approximate MPS
-run only when nothing exact fits the machine.  Selection is fully
-deterministic: same circuit + same :class:`PlannerConfig` always yields
-the same :class:`BackendPlan`, including byte-identical rationale text -
-the batch service journals plans and replays must agree.
+cheapest backend of :data:`AUTO_BACKENDS` whose price it can vouch for:
+feasible, exact, and - for the sparse engine - backed by a completed
+support probe.  When none qualifies it raises rather than guess.
+Selection is fully deterministic: same circuit + same
+:class:`PlannerConfig` always yields the same :class:`BackendPlan`,
+including byte-identical rationale text - the batch service journals
+plans and replays must agree.
 """
 
 from __future__ import annotations
@@ -23,13 +25,17 @@ from repro.planner.costs import (
     backend_cost,
 )
 from repro.planner.features import CircuitFeatures, analyze_circuit
-from repro.statevector.parallel import AUTO_PARALLEL_THRESHOLD, MAX_AUTO_WORKERS
 
 #: Valid values for the backend knob ("auto" resolves via the planner).
 BACKEND_CHOICES: tuple[str, ...] = ("auto",) + BACKENDS
 
 #: Valid values for the precision knob.
 PRECISION_CHOICES: tuple[str, ...] = ("auto", "single", "double")
+
+#: The ``auto`` candidate pool, in deterministic tie-break order.  Every
+#: member runs exactly; MPS (which may truncate) is reachable only by
+#: forcing it.
+AUTO_BACKENDS: tuple[str, ...] = ("stabilizer", "sparse", "statevector")
 
 #: ``precision="auto"`` picks the complex64 fast path for dense runs up
 #: to this many gates; beyond it rounding accumulation makes the
@@ -48,21 +54,12 @@ class PlannerConfig:
             is the dense engine's complex64 fast path; requesting it
             restricts auto-selection to the statevector backend.
         max_bond: MPS bond cap the plan prices (and an MPS run uses).
-        allow_approximate: Let auto-selection pick an approximate
-            (bond-truncating) MPS run even when exact backends are
-            feasible, if it prices cheaper.
-        backends: Candidate pool, in deterministic tie-break order.
-        single_gate_limit: Gate-count ceiling for the ``auto`` -> single
-            precision decision.
     """
 
     machine: MachineSpec = PAPER_MACHINE
     backend: str = "auto"
     precision: str = "auto"
     max_bond: int = 64
-    allow_approximate: bool = False
-    backends: tuple[str, ...] = BACKENDS
-    single_gate_limit: int = SINGLE_PRECISION_GATE_LIMIT
 
 
 DEFAULT_CONFIG = PlannerConfig()
@@ -78,13 +75,12 @@ class BackendPlan:
         num_qubits: Register width.
         backend: Chosen backend (one of :data:`~repro.planner.costs.BACKENDS`).
         precision: Resolved numeric precision (``single`` / ``double``).
-        workers: Recommended dense worker count (1 for non-dense
-            backends and for states below the parallel threshold).
         estimated_seconds: Modelled cost of the chosen backend at the
             resolved precision.
         estimated_bytes: Modelled peak resident bytes of the chosen
             backend.
-        approximate: The chosen run may truncate (MPS over its cap).
+        approximate: The chosen run may truncate (a forced MPS run over
+            its cap).
         rationale: Stable human-readable justification.
         costs: Every candidate's price, in candidate order.
         features: The static features the decision was made from.
@@ -95,7 +91,6 @@ class BackendPlan:
     num_qubits: int
     backend: str
     precision: str
-    workers: int
     estimated_seconds: float
     estimated_bytes: float
     approximate: bool
@@ -137,10 +132,7 @@ class BackendPlan:
                 f"  {cost.backend:<12} {'yes' if cost.feasible else 'no':<9} "
                 f"{seconds:>12} {_format_bytes(cost.memory_bytes):>12}  {note}"
             )
-        lines.append(
-            f"  -> chosen: {self.backend}, precision {self.precision}, "
-            f"workers {self.workers}"
-        )
+        lines.append(f"  -> chosen: {self.backend}, precision {self.precision}")
         lines.append(f"  rationale: {self.rationale}")
         return "\n".join(lines)
 
@@ -162,9 +154,23 @@ def _resolve_precision(backend: str, config: PlannerConfig, num_gates: int) -> s
         return "single"
     # "auto": the complex64 fast path only exists on the dense engine and
     # pays off while accumulated rounding stays inside the norm guard.
-    if backend == "statevector" and num_gates <= config.single_gate_limit:
+    if backend == "statevector" and num_gates <= SINGLE_PRECISION_GATE_LIMIT:
         return "single"
     return "double"
+
+
+def _rejection(cost: BackendCost, features: CircuitFeatures, precision: str) -> str:
+    """Why ``auto`` may not pick ``cost`` ("" when it may)."""
+    if not cost.feasible:
+        return cost.reason
+    if cost.backend == "sparse" and not features.probe_completed:
+        # Priced at the structural bound only: no price to vouch for.
+        return cost.reason
+    if precision == "single" and cost.backend != "statevector":
+        # The complex64 fast path is dense-only; an explicit single
+        # request is a constraint on the backend choice.
+        return "single precision runs on the statevector engine only"
+    return ""
 
 
 def _selection_rationale(
@@ -181,23 +187,11 @@ def _selection_rationale(
             f"all {features.num_gates} gates are Clifford, so tableau "
             f"simulation is polynomial in n; "
         )
-    elif chosen.backend == "sparse" and features.probe_completed:
+    elif chosen.backend == "sparse":
         structure = (
             f"support probe completed with peak support "
             f"{features.probe_support_peak} of "
             f"{1 << features.num_qubits} amplitudes; "
-        )
-    elif chosen.backend == "sparse":
-        structure = (
-            f"support probe aborted at support "
-            f"{features.probe_support_peak}, so priced at the structural "
-            f"bound of {features.support_bound_peak} of "
-            f"{1 << features.num_qubits} amplitudes; "
-        )
-    elif chosen.backend == "mps":
-        structure = (
-            f"entanglement proxy stays at bond {features.bond_estimate} "
-            f"under cap {features.bond_cap}; "
         )
     others = [c for c in pool if c.backend != chosen.backend]
     if others:
@@ -222,7 +216,9 @@ def plan(
 
     Raises:
         AnalysisError: On invalid knobs, a forced backend that cannot run
-            the circuit, or a circuit no candidate backend can execute.
+            the circuit, or (``auto``) a circuit no backend of
+            :data:`AUTO_BACKENDS` qualifies for; the message lists every
+            candidate's rejection.
     """
     if config.backend not in BACKEND_CHOICES:
         raise AnalysisError(
@@ -235,9 +231,7 @@ def plan(
             f"(choose from {sorted(PRECISION_CHOICES)})"
         )
     features = analyze_circuit(circuit, bond_cap=config.max_bond)
-    costs = all_backend_costs(
-        features, config.machine, "double", config.backends
-    )
+    costs = all_backend_costs(features, config.machine, "double", AUTO_BACKENDS)
 
     forced = config.backend != "auto"
     if forced:
@@ -254,20 +248,13 @@ def plan(
             )
         pool = [chosen]
     else:
-        candidates = [c for c in costs if c.feasible]
-        if config.precision == "single":
-            # The complex64 fast path is dense-only; an explicit single
-            # request is a constraint on the backend choice.
-            candidates = [c for c in candidates if c.backend == "statevector"]
-        pool = [c for c in candidates if not c.approximate]
-        if config.allow_approximate:
-            pool = candidates
-        if not pool:
-            # Nothing exact fits; an approximate MPS run beats no answer.
-            pool = candidates
+        rejections = [
+            (c, _rejection(c, features, config.precision)) for c in costs
+        ]
+        pool = [c for c, reason in rejections if not reason]
         if not pool:
             reasons = "; ".join(
-                f"{c.backend}: {c.reason}" for c in costs if not c.feasible
+                f"{c.backend}: {reason}" for c, reason in rejections
             )
             raise AnalysisError(
                 f"no backend can execute {circuit.name} on "
@@ -286,13 +273,6 @@ def plan(
             features, "statevector", config.machine, "single"
         )
 
-    workers = 1
-    if (
-        chosen.backend == "statevector"
-        and (1 << features.num_qubits) >= AUTO_PARALLEL_THRESHOLD
-    ):
-        workers = MAX_AUTO_WORKERS
-
     rationale = _selection_rationale(chosen, pool, features, forced)
     if precision == "single":
         rationale += "; complex64 fast path, norm-guarded"
@@ -305,7 +285,6 @@ def plan(
         num_qubits=features.num_qubits,
         backend=chosen.backend,
         precision=precision,
-        workers=workers,
         estimated_seconds=chosen.seconds,
         estimated_bytes=chosen.memory_bytes,
         approximate=chosen.approximate,

@@ -61,9 +61,6 @@ class SparseState:
             out[index] = amplitude
         return out
 
-    def amplitude(self, basis_index: int) -> complex:
-        return self.amplitudes.get(basis_index, 0.0 + 0.0j)
-
     # -- evolution ------------------------------------------------------------
 
     def apply(self, gate: Gate) -> "SparseState":

@@ -24,7 +24,7 @@ class TestBreakdown:
             result = QGpuSimulator(version=version).estimate(circuit)
             share = breakdown(result)
             assert 0 <= share.cpu <= 1 and 0 <= share.transfer <= 1
-            assert share.other >= 0
+            assert share.cpu + share.gpu + share.transfer + share.codec <= 1 + 1e-9
 
     def test_average_breakdown(self) -> None:
         circuit = get_circuit("qft", 31)

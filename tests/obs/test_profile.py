@@ -82,12 +82,12 @@ class TestSampleAttribution:
     def test_background_thread_collects_and_stops(self):
         tracer = Tracer(clock=LogicalClock())
         with SamplingProfiler(interval=0.001, tracer=tracer) as profiler:
-            assert profiler.running
+            assert "obs-profiler" in {t.name for t in threading.enumerate()}
             deadline = threading.Event()
             with tracer.span("spin", "compute"):
                 while profiler.total_samples == 0 and not deadline.wait(0.005):
                     pass
-        assert not profiler.running
+        assert "obs-profiler" not in {t.name for t in threading.enumerate()}
         assert profiler.total_samples >= 1
 
     def test_max_depth_truncates_stacks(self):

@@ -9,7 +9,11 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import FAMILIES, get_circuit
 from repro.errors import AnalysisError
-from repro.planner import DEFAULT_CONFIG, PlannerConfig, plan
+from repro.planner import DEFAULT_CONFIG, plan
+
+#: Families whose 28-qubit circuits no exact backend can vouch for: too
+#: wide for the dense engine, not Clifford, and the sparse probe aborts.
+UNPLANNABLE_AT_28 = ("rqc", "iqp", "hchain", "qaoa", "qf", "qft")
 
 
 class TestRouting:
@@ -31,11 +35,26 @@ class TestRouting:
         # precision="auto" takes the norm-guarded complex64 fast path.
         assert chosen.precision == "single"
 
-    def test_beyond_dense_limit_falls_back_to_approximate(self) -> None:
-        chosen = plan(get_circuit("iqp", 31), DEFAULT_CONFIG)
-        assert chosen.backend == "mps"
-        assert chosen.approximate
-        assert "approximate" in chosen.rationale
+    @pytest.mark.parametrize("family", UNPLANNABLE_AT_28)
+    def test_beyond_dense_limit_rejects_with_every_reason(self, family: str) -> None:
+        with pytest.raises(AnalysisError) as error:
+            plan(get_circuit(family, 28), DEFAULT_CONFIG)
+        message = str(error.value)
+        assert f"no backend can execute {family}_28" in message
+        assert "stabilizer: " in message and "outside the Clifford set" in message
+        assert "sparse: support probe aborted" in message
+        assert "statevector: functional dense engine is limited to 26" in message
+        assert "mps" not in message
+
+    def test_forced_mps_still_plans_beyond_the_dense_limit(self) -> None:
+        # Forced sparse on rqc_28: test_sparse_rationale_agrees_with_the_probe.
+        mps = plan(get_circuit("iqp", 31),
+                   dataclasses.replace(DEFAULT_CONFIG, backend="mps"))
+        assert mps.backend == "mps"
+        # Forcing MPS keeps its truncation note.
+        assert mps.approximate
+        assert "may truncate" in mps.rationale
+        assert "approximate: bond proxy exceeds cap 64" in mps.render()
 
 
 class TestDeterminism:
@@ -89,35 +108,43 @@ class TestRendering:
         chosen = plan(get_circuit("bv", 12), DEFAULT_CONFIG)
         text = chosen.render()
         assert text.startswith("plan for bv_12 on ")
-        for backend in ("stabilizer", "sparse", "statevector", "mps"):
+        for backend in ("stabilizer", "sparse", "statevector"):
             assert backend in text
-        assert "-> chosen: stabilizer" in text
+        assert "mps" not in text
+        assert "-> chosen: stabilizer, precision double\n" in text
         assert "rationale:" in text
 
     def test_sparse_rationale_agrees_with_the_probe(self) -> None:
-        # rqc_28 routes to sparse although its support probe aborts; the
-        # rationale must say so, as the cost table does.
-        chosen = plan(get_circuit("rqc", 28), DEFAULT_CONFIG)
-        assert chosen.backend == "sparse"
-        assert not chosen.features.probe_completed
-        assert "aborted" in chosen.rationale
-        assert "completed" not in chosen.rationale
-        assert "structural bound" in chosen.rationale
+        # rqc_28's support probe aborts, so auto never picks sparse on it;
+        # forcing sparse plans, and the rationale claims no probe result.
+        forced = plan(get_circuit("rqc", 28),
+                      dataclasses.replace(DEFAULT_CONFIG, backend="sparse"))
+        assert not forced.features.probe_completed
+        assert forced.rationale == "backend sparse forced by config"
+        assert "support probe aborted" in forced.cost_for("sparse").reason
         completed = plan(get_circuit("w", 16), DEFAULT_CONFIG)
+        assert completed.backend == "sparse"
         assert "support probe completed" in completed.rationale
 
     @pytest.mark.parametrize("qubits", [12, 28])
     @pytest.mark.parametrize("family", FAMILIES + ("w",))
     def test_probe_clause_matches_the_probe(self, family: str, qubits: int) -> None:
-        chosen = plan(get_circuit(family, qubits), DEFAULT_CONFIG)
+        circuit = get_circuit(family, qubits)
+        if family in UNPLANNABLE_AT_28 and qubits == 28:
+            # The rejection names the aborted probe instead.
+            with pytest.raises(AnalysisError, match="support probe aborted"):
+                plan(circuit, DEFAULT_CONFIG)
+            return
+        chosen = plan(circuit, DEFAULT_CONFIG)
         completed = chosen.features.probe_completed
         header = chosen.render().splitlines()[1]
         assert header.endswith(f"probe peak {chosen.features.probe_support_peak}"
                                f"{'' if completed else ' (aborted)'}  "
                                f"bond proxy {chosen.features.bond_estimate}")
         if chosen.backend == "sparse":
-            assert ("support probe completed" in chosen.rationale) == completed
-            assert ("support probe aborted" in chosen.rationale) != completed
+            # Auto picks sparse only on a completed probe.
+            assert completed
+            assert "support probe completed" in chosen.rationale
         else:
             # The probe clause only ever justifies a sparse choice.
             assert "support probe" not in chosen.rationale
@@ -130,12 +157,21 @@ class TestRendering:
 
 class TestNothingFeasible:
     def test_error_lists_per_backend_reasons(self) -> None:
-        # 40 qubits of H+T: too wide for dense, not Clifford, and with the
-        # always-feasible MPS engine removed from the candidate list there
-        # is nowhere left to route.
+        # 40 qubits of H+T: too wide for dense, not Clifford, and a support
+        # of 2^40 that no host holds; MPS would run it, but only by force.
         circuit = QuantumCircuit(40)
         for q in range(40):
             circuit.h(q).t(q)
-        config = PlannerConfig(backends=("stabilizer", "statevector"))
-        with pytest.raises(AnalysisError, match="no backend can execute"):
-            plan(circuit, config)
+        with pytest.raises(AnalysisError, match="no backend can execute") as error:
+            plan(circuit, DEFAULT_CONFIG)
+        message = str(error.value)
+        for backend in ("stabilizer", "sparse", "statevector"):
+            assert f"{backend}: " in message
+
+    def test_single_precision_rejection_names_the_dense_only_rule(self) -> None:
+        config = dataclasses.replace(DEFAULT_CONFIG, precision="single")
+        with pytest.raises(AnalysisError) as error:
+            plan(get_circuit("bv", 30), config)
+        message = str(error.value)
+        assert "stabilizer: single precision runs on the statevector engine only" in message
+        assert "statevector: functional dense engine is limited to 26" in message

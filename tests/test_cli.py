@@ -62,13 +62,37 @@ class TestSimulate:
         )
 
 
+def _estimate_rows(capsys, *argv: str) -> dict[str, float]:
+    """``repro estimate`` rows as ``{label: modelled seconds}``."""
+    assert main(["estimate", *argv]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    return {line.split()[0]: float(line.split()[1]) for line in rows}
+
+
 class TestEstimate:
     def test_estimate_all_versions(self, capsys) -> None:
-        assert main(["estimate", "--family", "qft", "--qubits", "31",
-                     "--machine", "p100"]) == 0
-        out = capsys.readouterr().out
-        for version in ("Baseline", "Naive", "Overlap", "Pruning", "Q-GPU"):
-            assert version in out
+        rows = _estimate_rows(capsys, "--family", "qft", "--qubits", "31",
+                              "--machine", "p100")
+        assert list(rows) == [
+            "Baseline", "Naive", "Overlap", "Pruning", "Reorder", "Q-GPU",
+            "Q-GPU+diag", "Q-GPU+basis", "CPU-OpenMP",
+        ]
+        assert all(seconds > 0 for seconds in rows.values())
+
+    def test_qgpu_wins_at_scale_on_pruneable_circuits(self, capsys) -> None:
+        rows = _estimate_rows(capsys, "--family", "iqp", "--qubits", "33")
+        assert min(rows, key=rows.get).startswith("Q-GPU")
+
+    def test_pruning_extensions_top_qft(self, capsys) -> None:
+        rows = _estimate_rows(capsys, "--family", "qft", "--qubits", "32")
+        best = min(rows, key=rows.get)
+        assert best in ("Q-GPU+diag", "Q-GPU+basis")
+        assert rows["Baseline"] / rows[best] > 10
+
+    def test_cpu_openmp_row_beside_the_versions(self, capsys) -> None:
+        rows = _estimate_rows(capsys, "--family", "gs", "--qubits", "31")
+        assert rows["CPU-OpenMP"] > 0
+        assert rows["Baseline"] > 0
 
     def test_host_memory_error_reported(self, capsys) -> None:
         assert main(["estimate", "--family", "gs", "--qubits", "34",
@@ -95,10 +119,33 @@ class TestOtherCommands:
             main(["simulate"])
 
     def test_plan(self, capsys) -> None:
-        assert main(["plan", "--family", "iqp", "--qubits", "31"]) == 0
+        assert main(["plan", "--family", "iqp", "--qubits", "16"]) == 0
         out = capsys.readouterr().out
-        assert "plan for iqp_31" in out
-        assert "->" in out
+        assert "plan for iqp_16" in out
+        assert "-> chosen: statevector" in out
+        assert out.endswith("repro estimate\n")
+
+    @pytest.mark.parametrize("family", ["rqc", "iqp", "hchain", "qaoa", "qf", "qft"])
+    def test_plan_rejects_beyond_the_dense_limit(self, family, capsys) -> None:
+        assert main(["plan", "--family", family, "--qubits", "28"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: no backend can execute {family}_28")
+        assert "outside the Clifford set" in captured.err
+        assert "support probe aborted" in captured.err
+        assert "limited to 26 qubits" in captured.err
+
+    @pytest.mark.parametrize("family,qubits,backend", [
+        ("rqc", 28, "sparse"), ("iqp", 31, "mps"),
+    ])
+    def test_plan_forced_backend_beyond_the_dense_limit(
+        self, family, qubits, backend, capsys
+    ) -> None:
+        assert main(["plan", "--family", family, "--qubits", str(qubits),
+                     "--backend", backend]) == 0
+        out = capsys.readouterr().out
+        assert f"-> chosen: {backend}, precision double" in out
+        assert f"backend {backend} forced by config" in out
 
     def test_trace_writes_json(self, tmp_path, capsys) -> None:
         output = tmp_path / "trace.json"
