@@ -12,10 +12,7 @@ three ways in one process:
   (best-of-N minima, so host noise cancels),
 * ``enabled``  - a live :class:`~repro.obs.Tracer` with a
   :class:`~repro.obs.LogicalClock`, reported for context (not gated; a
-  real trace is allowed to cost real time),
-* ``enabled_nohist`` - the same live tracer with ``histograms=False``,
-  isolating what the streaming duration histograms add on top of span
-  recording.
+  real trace is allowed to cost real time).
 
 A second benchmark times the trace-analysis engine itself
 (:func:`repro.obs.analyze` - rollups, critical path, overlap, top-k)
@@ -83,9 +80,6 @@ def test_disabled_tracer_overhead() -> None:
     baseline_s = _best_of(lambda: run(None))
     disabled_s = _best_of(lambda: run(Tracer(enabled=False)))
     enabled_s = _best_of(lambda: run(Tracer(clock=LogicalClock())))
-    nohist_s = _best_of(
-        lambda: run(Tracer(clock=LogicalClock(), histograms=False))
-    )
 
     overhead = disabled_s / baseline_s - 1.0
     payload = {
@@ -95,10 +89,8 @@ def test_disabled_tracer_overhead() -> None:
         "baseline_seconds": baseline_s,
         "disabled_seconds": disabled_s,
         "enabled_seconds": enabled_s,
-        "enabled_nohist_seconds": nohist_s,
         "disabled_overhead": overhead,
         "enabled_overhead": enabled_s / baseline_s - 1.0,
-        "histogram_overhead": enabled_s / nohist_s - 1.0,
         "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
     }
     _update_results(payload)
@@ -107,8 +99,6 @@ def test_disabled_tracer_overhead() -> None:
     print(f"  disabled {disabled_s * 1e3:8.2f} ms ({overhead:+.1%})")
     print(f"  enabled  {enabled_s * 1e3:8.2f} ms "
           f"({payload['enabled_overhead']:+.1%})")
-    print(f"  no-hist  {nohist_s * 1e3:8.2f} ms "
-          f"(histograms add {payload['histogram_overhead']:+.1%})")
     print(f"  wrote {RESULTS_PATH}")
 
     assert disabled_s <= baseline_s * (1 + MAX_DISABLED_OVERHEAD) + JITTER_ALLOWANCE_S, (
@@ -144,47 +134,3 @@ def test_analyzer_runtime() -> None:
     # take longer than the simulation it describes typically does.
     assert analyze_s < 5.0
 
-
-def test_profiler_and_memory_overhead() -> None:
-    """Cost of the deep-performance additions, for the ledger's history.
-
-    Times the same run with (a) the sampling profiler attached and
-    running and (b) per-span memory telemetry, against the plain enabled
-    tracer.  Neither is gated - both are opt-in features whose budget is
-    "cheap enough to leave on when asked for" - but the numbers land in
-    ``BENCH_obs.json`` so the perf ledger tracks them over time.  The
-    disabled path (no profiler object at all) stays covered by the <3%
-    gate above.
-    """
-    from repro.obs import SamplingProfiler
-
-    circuit = get_circuit("qft", NUM_QUBITS)
-    version = VERSIONS_BY_NAME["Q-GPU"]
-
-    def run(tracer: Tracer) -> None:
-        QGpuSimulator(version=version, workers=1, tracer=tracer).run(circuit)
-
-    run(Tracer(clock=LogicalClock()))  # warm
-    enabled_s = _best_of(lambda: run(Tracer(clock=LogicalClock())))
-
-    def profiled() -> None:
-        profiler = SamplingProfiler()
-        with profiler:
-            run(Tracer(clock=LogicalClock(), profiler=profiler))
-
-    profiled_s = _best_of(profiled)
-    memory_s = _best_of(
-        lambda: run(Tracer(clock=LogicalClock(), memory=True))
-    )
-    fields = {
-        "profiler_seconds": profiled_s,
-        "profiler_overhead": profiled_s / enabled_s - 1.0,
-        "memory_seconds": memory_s,
-        "memory_overhead": memory_s / enabled_s - 1.0,
-    }
-    _update_results(fields)
-    print(f"\n  profiler  {profiled_s * 1e3:8.2f} ms "
-          f"({fields['profiler_overhead']:+.1%} over enabled tracer)")
-    print(f"  memory    {memory_s * 1e3:8.2f} ms "
-          f"({fields['memory_overhead']:+.1%} over enabled tracer)")
-    print(f"  wrote {RESULTS_PATH}")

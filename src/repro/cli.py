@@ -110,57 +110,13 @@ def _workers_arg(value: str) -> int | str:
 
 
 def _build_tracer(args: argparse.Namespace):
-    """Build a Tracer when an observability flag asked for one, else None.
-
-    ``--trace``/``--metrics`` enable span + counter collection;
-    ``--profile`` additionally attaches a sampling profiler and
-    ``--memory`` turns on per-span RSS/allocation telemetry (starting
-    :mod:`tracemalloc` for the allocation deltas).
-    """
-    memory = bool(getattr(args, "memory", False))
-    wants = (getattr(args, "trace", None) or getattr(args, "metrics", None)
-             or getattr(args, "profile", None) or memory)
-    if not wants:
+    """Build a Tracer when ``--trace`` or ``--metrics`` asked for one, else None."""
+    if not (getattr(args, "trace", None) or getattr(args, "metrics", None)):
         return None
-    from repro.obs import LogicalClock, SamplingProfiler, Tracer, WallClock
+    from repro.obs import LogicalClock, Tracer, WallClock
 
-    profiler = None
-    if getattr(args, "profile", None):
-        profiler = SamplingProfiler()
-    if memory:
-        import tracemalloc
-
-        if not tracemalloc.is_tracing():
-            tracemalloc.start()
     logical = getattr(args, "trace_clock", "wall") == "logical"
-    return Tracer(
-        clock=LogicalClock() if logical else WallClock(),
-        memory=memory,
-        profiler=profiler,
-    )
-
-
-def _start_profiler(tracer):
-    """Start the tracer's attached profiler (if any); returns it."""
-    profiler = getattr(tracer, "profiler", None) if tracer is not None else None
-    if profiler is not None:
-        profiler.start()
-    return profiler
-
-
-def _finish_profiler(profiler, args: argparse.Namespace) -> None:
-    """Stop the profiler and write ``<base>.folded`` + ``<base>.svg``."""
-    if profiler is None:
-        return
-    profiler.stop()
-    folded, svg = profiler.write(args.profile)
-    print(f"profile: {profiler.total_samples} stack sample(s) -> "
-          f"{folded} + {svg}")
-    shares = profiler.stage_shares()
-    if shares:
-        print("top profiled stages (share of samples):")
-        for stage, share in list(shares.items())[:5]:
-            print(f"  {stage:<12} {share:6.1%}")
+    return Tracer(clock=LogicalClock() if logical else WallClock())
 
 
 def _write_observability(tracer, args: argparse.Namespace) -> None:
@@ -187,14 +143,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         version=version, fault_plan=_fault_plan(args), workers=args.workers,
         tracer=tracer, backend=args.backend, precision=args.precision,
     )
-    profiler = _start_profiler(tracer)
     result = simulator.run(
         circuit,
         checkpoint_every=args.checkpoint_every,
         checkpoint_path=args.checkpoint,
         resume_from=args.resume,
     )
-    _finish_profiler(profiler, args)
     print(f"{circuit.name}: {len(circuit)} gates, version {version.name}")
     if args.backend != "statevector" or args.precision != "double":
         line = f"backend: {result.backend}, precision: {result.precision}"
@@ -260,9 +214,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _cmd_transpile(args: argparse.Namespace) -> int:
     circuit = _load_circuit(args)
     tracer = _build_tracer(args)
-    profiler = _start_profiler(tracer)
     lowered = transpile(circuit, tracer=tracer)
-    _finish_profiler(profiler, args)
     _write_observability(tracer, args)
     if args.fingerprint:
         print(f"{circuit.fingerprint()}  {circuit.name}")
@@ -850,14 +802,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(logical + workers=1 is byte-reproducible)")
         cmd.add_argument("--metrics", metavar="FILE",
                          help="write the counter snapshot JSON here")
-        cmd.add_argument("--profile", nargs="?", const="repro.profile",
-                         metavar="BASE",
-                         help="sample wall-clock stacks during the run and "
-                              "write BASE.folded + BASE.svg (default base: "
-                              "repro.profile)")
-        cmd.add_argument("--memory", action="store_true",
-                         help="record per-span peak-RSS and tracemalloc "
-                              "allocation histograms")
 
     simulate = sub.add_parser("simulate", help="exact functional simulation")
     _add_circuit_options(simulate)

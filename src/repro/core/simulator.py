@@ -47,7 +47,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.hardware.machine import Machine
-from repro.hardware.specs import AMP_BYTES, MachineSpec, PAPER_MACHINE
+from repro.hardware.specs import MachineSpec, PAPER_MACHINE
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.reliability.cancellation import CancellationToken
 from repro.reliability.checkpoint import load_checkpoint, save_checkpoint
@@ -578,10 +578,6 @@ class QGpuSimulator:
                 tracer.counters.count(
                     "fusion.gates_fused", sum(len(s.gates) for s in slabs)
                 )
-                if tracer.histograms:
-                    widths = tracer.counters.histogram("fused_slab_width")
-                    for slab in slabs:
-                        widths.observe(len(slab.qubits))
         if start_cursor:
             ops = _split_at(ops, start_cursor)
 
@@ -615,11 +611,6 @@ class QGpuSimulator:
                 skipped_updates += groups_total - groups_live
                 if first < start_cursor:
                     continue
-                if tracer.enabled and tracer.histograms:
-                    tracer.counters.histogram("chunk_bytes").observe(
-                        (groups_live << outside.bit_count())
-                        * (AMP_BYTES << state.chunk_bits)
-                    )
                 with tracer.span(
                     f"apply:{op.name}", stage="compute", gate=first, groups=groups_live
                 ):

@@ -8,11 +8,13 @@ lower arithmetic intensity, and Q-GPU achieves far more than either.
 
 from __future__ import annotations
 
-from repro.analysis.roofline import RooflinePoint
-from repro.core.versions import BASELINE, NAIVE, QGPU
+from repro.core.versions import BASELINE, NAIVE, QGPU, VersionConfig
 from repro.experiments.base import ExperimentResult, register
-from repro.hardware.specs import MachineSpec, PCIE3_X16, V100_16GB, XEON_4114_DUAL
-from repro.obs.roofline import model_roofline_points
+from repro.experiments.common import timed_run
+from repro.hardware.specs import (
+    GpuSpec, MachineSpec, PCIE3_X16, V100_16GB, XEON_4114_DUAL,
+)
+from repro.obs.roofline import RooflinePoint, roofline_point
 
 #: The paper's roofline server: V100 16 GB with a capable host.
 ROOFLINE_MACHINE = MachineSpec(
@@ -25,6 +27,28 @@ SIZES = (27, 29, 31, 33)
 VERSIONS = (BASELINE, NAIVE, QGPU)
 
 
+def model_roofline_points(
+    circuits: tuple[str, ...],
+    sizes: tuple[int, ...],
+    versions: tuple[VersionConfig, ...],
+    machine: MachineSpec,
+    gpu: GpuSpec,
+) -> list[tuple[tuple[str, int, str], RooflinePoint]]:
+    """The Fig. 15 sweep: one modelled roofline point per grid cell.
+
+    Returns ``((family, size, version.name), RooflinePoint)`` tuples in
+    family-major, then size, then version order - the order the rows
+    are printed in.
+    """
+    points = []
+    for family in circuits:
+        for size in sizes:
+            for version in versions:
+                timing = timed_run(family, size, version, machine=machine)
+                points.append(((family, size, version.name), roofline_point(timing, gpu)))
+    return points
+
+
 @register("fig15")
 def run() -> ExperimentResult:
     result = ExperimentResult(
@@ -34,9 +58,6 @@ def run() -> ExperimentResult:
                  "ceiling_GFLOPS", "pct_of_ceiling"],
     )
     points: dict[tuple[str, int, str], RooflinePoint] = {}
-    # The sweep itself lives in repro.obs.roofline so the live-telemetry
-    # side and this experiment stay on one implementation; the sequence
-    # order matches the historical loop, so the rows are byte-identical.
     for (family, size, version_name), point in model_roofline_points(
         CIRCUITS, SIZES, VERSIONS, machine=ROOFLINE_MACHINE, gpu=V100_16GB
     ):

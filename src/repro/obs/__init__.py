@@ -1,6 +1,8 @@
 """Unified observability: spans, counters, exporters, validation, logging.
 
-Quick start::
+The span trace is the one record of a run: every summary below is
+derived from it, its counters, or (for the batch service) the per-job
+``jobs`` records.  Quick start::
 
     from repro.obs import LogicalClock, Tracer, write_trace
 
@@ -11,9 +13,12 @@ Quick start::
 
 Analytics over exported traces live in :mod:`repro.obs.analyze` (stage
 rollups, critical path, overlap efficiency, bottlenecks),
-:mod:`repro.obs.drift` (model-vs-measured comparison) and
-:mod:`repro.obs.fleet` (multi-device busy/idle and comm matrix).  See ``docs/observability.md`` for the span
-taxonomy, export formats, and overhead numbers.
+:mod:`repro.obs.drift` (model-vs-measured comparison),
+:mod:`repro.obs.fleet` (multi-device busy/idle and comm matrix) and
+:mod:`repro.obs.roofline` (the Fig. 15 model points and the measured
+kernel rows).  See ``docs/observability.md`` for the span taxonomy,
+export formats, and overhead numbers; for function-level time, run a
+command under ``python -m cProfile``.
 """
 
 from repro.obs.analyze import (
@@ -64,7 +69,6 @@ from repro.obs.fleet import (
     render_fleet,
     span_device,
 )
-from repro.obs.hist import Histogram, bucket_exponent
 from repro.obs.ledger import (
     MetricDiff,
     append_record,
@@ -78,16 +82,13 @@ from repro.obs.ledger import (
     render_record,
 )
 from repro.obs.log import JsonLogFormatter, configure_logging, get_logger
-from repro.obs.profile import (
-    SamplingProfiler,
-    process_peak_rss_bytes,
-    process_rss_bytes,
-    render_flamegraph,
-)
 from repro.obs.roofline import (
     KernelRoofline,
+    RooflinePoint,
     kernel_rooflines,
     render_kernel_rooflines,
+    roofline_ceiling,
+    roofline_point,
     rooflines_payload,
 )
 from repro.obs.tracer import (
@@ -111,7 +112,6 @@ __all__ = [
     "DeviceStats",
     "DriftReport",
     "FleetAnalysis",
-    "Histogram",
     "JsonLogFormatter",
     "KernelRoofline",
     "LinkStats",
@@ -119,8 +119,8 @@ __all__ = [
     "MetricDiff",
     "NULL_TRACER",
     "OverlapStats",
+    "RooflinePoint",
     "STAGES",
-    "SamplingProfiler",
     "Span",
     "StageDrift",
     "StageRollup",
@@ -131,7 +131,6 @@ __all__ = [
     "analyze",
     "append_record",
     "baseline_for",
-    "bucket_exponent",
     "build_record",
     "check_spans",
     "configure_logging",
@@ -151,16 +150,15 @@ __all__ = [
     "metrics_json",
     "overlap_stats",
     "predicted_breakdown",
-    "process_peak_rss_bytes",
-    "process_rss_bytes",
     "render_analysis",
     "render_critical_path",
     "render_diff",
-    "render_flamegraph",
     "render_fleet",
     "render_kernel_rooflines",
     "render_record",
     "render_summary",
+    "roofline_ceiling",
+    "roofline_point",
     "rooflines_payload",
     "span_device",
     "spans_from_events",

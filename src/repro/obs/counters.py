@@ -12,11 +12,6 @@ Counters are integers or floats; increments are lock-protected so worker
 threads can count concurrently.  :meth:`snapshot` returns a sorted dict
 and :meth:`to_json` a canonical serialization (sorted keys, fixed
 separators) so deterministic runs diff clean.
-
-The registry also hosts :class:`~repro.obs.hist.Histogram` series
-(:meth:`histogram` get-or-creates one by name + label set), so
-distribution metrics - span durations, chunk bytes, queue waits, job
-latencies - export alongside the counters without a second registry.
 """
 
 from __future__ import annotations
@@ -25,8 +20,6 @@ import json
 import threading
 from typing import Any, Iterable, Mapping
 
-from repro.obs.hist import Histogram
-
 
 class CounterRegistry:
     """Named monotonic counters, safe to increment from any thread."""
@@ -34,7 +27,6 @@ class CounterRegistry:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._values: dict[str, int | float] = {}
-        self._histograms: dict[tuple[str, tuple[tuple[str, str], ...]], Histogram] = {}
 
     def count(self, name: str, increment: int | float = 1) -> None:
         """Add ``increment`` (default 1) to counter ``name``."""
@@ -62,44 +54,15 @@ class CounterRegistry:
     def clear(self) -> None:
         with self._lock:
             self._values.clear()
-            self._histograms.clear()
 
     def snapshot(self) -> dict[str, int | float]:
         """Sorted copy of every counter."""
         with self._lock:
             return dict(sorted(self._values.items()))
 
-    # -- histograms ----------------------------------------------------------
-
-    def histogram(self, name: str, **labels: str) -> Histogram:
-        """Get or create the histogram series ``name`` with ``labels``."""
-        key = (name, tuple(sorted(labels.items())))
-        with self._lock:
-            series = self._histograms.get(key)
-            if series is None:
-                series = self._histograms[key] = Histogram(name, labels)
-        return series
-
-    def histograms(self) -> list[Histogram]:
-        """Every registered histogram series, in deterministic key order."""
-        with self._lock:
-            series = list(self._histograms.values())
-        return sorted(series, key=lambda h: h.key())
-
-    def histogram_snapshot(self) -> dict[str, dict[str, Any]]:
-        """Deterministic summary of every histogram, keyed by series key."""
-        return {series.key(): series.snapshot() for series in self.histograms()}
-
     def to_json(self, extra: Mapping[str, Any] | None = None) -> str:
-        """Canonical JSON export: ``{"counters": {...}, **extra}``.
-
-        Histogram series are included under ``"histograms"`` when any
-        exist, so counter-only exports keep their historical byte layout.
-        """
+        """Canonical JSON export: ``{"counters": {...}, **extra}``."""
         payload: dict[str, Any] = {"counters": self.snapshot()}
-        histograms = self.histogram_snapshot()
-        if histograms:
-            payload["histograms"] = histograms
         if extra:
             payload.update(extra)
         return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"

@@ -1,9 +1,21 @@
-"""Live roofline attribution for measured kernel counters.
+"""Roofline placement: modelled GPU runs (Fig. 15) and measured kernels.
 
-The analysis layer already places *modelled* runs on a device roofline
-(:mod:`repro.analysis.roofline`, Fig. 15); this module is the measured
-side of the same picture.  The chunk engine accumulates, per kernel kind,
-the amplitudes touched, the bytes moved under the DES cost model's
+A roofline places work at ``(arithmetic intensity, achieved throughput)``
+under a device ceiling.  This module holds both sides of that picture.
+
+**Modelled** (paper Fig. 15, Section V-B): :func:`roofline_point` places
+one timed run at ``(GPU FLOPs per DRAM byte, achieved FLOPS)`` under
+:func:`roofline_ceiling`, ``min(peak FLOPS, AI x memory bandwidth)``.
+The paper's observations to reproduce:
+
+* QCS is memory-bound (every point sits under the bandwidth slope),
+* runs that fit in GPU memory (<= 29 qubits) achieve FLOPS near the
+  bandwidth-bound ceiling,
+* beyond GPU memory the Baseline collapses to very low FLOPS, the Naive
+  version recovers some, and Q-GPU achieves far more.
+
+**Measured**: the chunk engine accumulates, per kernel kind, the
+amplitudes touched, the bytes moved under the DES cost model's
 read+write convention (``2 * itemsize * amps`` - see
 :meth:`repro.statevector.chunks.ChunkedStateVector.sweep`), and the wall
 seconds of every sweep.  From those three counters -
@@ -14,23 +26,82 @@ kind's achieved amps/s and bytes/amp, and places the achieved bandwidth
 against a machine bound, so ``trace analyze --roofline`` can report
 "diagonal at 74% of the bandwidth bound".
 
-The bound defaults to the *CPU* effective bandwidth of the chosen
-:class:`~repro.hardware.specs.MachineSpec` - the functional engines run
-on the host, and the DES model uses the same number to cost the CPU
-version - keeping measured efficiency directly comparable with the
-model's predictions.
+The measured bound defaults to the *CPU* effective bandwidth of the
+chosen :class:`~repro.hardware.specs.MachineSpec` - the functional
+engines run on the host, and the DES model uses the same number to cost
+the CPU version - keeping measured efficiency directly comparable with
+the model's predictions.
 
-The module also hosts :func:`model_roofline_points`, the shared sweep
-behind the Fig. 15 experiment: ``experiments/fig15_roofline.py`` renders
-its rows from this helper (byte-identically to the pre-refactor loop),
-and other callers can reuse the same grid without importing the
-experiment registry.
+The timing and device types are annotations only, so this module
+imports nothing of :mod:`repro.core`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
+
+if TYPE_CHECKING:
+    from repro.core.executor import TimedResult
+    from repro.hardware.specs import GpuSpec
+
+
+# -- the modelled side (Fig. 15) ------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RooflinePoint:
+    """One run in roofline coordinates.
+
+    Attributes:
+        label: Display label (e.g. ``"qft_32/Baseline"``).
+        arithmetic_intensity: GPU FLOPs per GPU DRAM byte.
+        achieved_flops: GPU FLOPs divided by *total* execution seconds
+            (application-level throughput, as the paper plots).
+        ceiling_flops: Device ceiling at this intensity.
+    """
+
+    label: str
+    arithmetic_intensity: float
+    achieved_flops: float
+    ceiling_flops: float
+
+    @property
+    def efficiency(self) -> float:
+        """Achieved fraction of the roofline ceiling."""
+        if self.ceiling_flops == 0:
+            return 0.0
+        return self.achieved_flops / self.ceiling_flops
+
+    @property
+    def memory_bound(self) -> bool:
+        """True when the bandwidth slope (not peak FLOPS) is the ceiling."""
+        return self.achieved_flops <= self.ceiling_flops
+
+
+def roofline_ceiling(gpu: GpuSpec, arithmetic_intensity: float) -> float:
+    """``min(peak, AI x bandwidth)`` for one device."""
+    return min(gpu.fp64_flops, arithmetic_intensity * gpu.mem_bandwidth)
+
+
+def roofline_point(result: TimedResult, gpu: GpuSpec) -> RooflinePoint:
+    """Place one timed run on the device's roofline."""
+    if result.gpu_bytes_touched > 0:
+        intensity = result.gpu_flops / result.gpu_bytes_touched
+    else:
+        intensity = 0.0
+    achieved = (
+        result.gpu_flops / result.total_seconds if result.total_seconds else 0.0
+    )
+    return RooflinePoint(
+        label=f"{result.circuit_name}/{result.version}",
+        arithmetic_intensity=intensity,
+        achieved_flops=achieved,
+        ceiling_flops=roofline_ceiling(gpu, intensity),
+    )
+
+
+# -- the measured side (kernel counters) ----------------------------------------
 
 #: Counter prefixes the chunk engines accumulate per kernel kind.
 _AMPS_PREFIX = "kernel_amps."
@@ -168,36 +239,3 @@ def rooflines_payload(rows: Iterable[KernelRoofline]) -> list[dict[str, Any]]:
         }
         for row in rows
     ]
-
-
-# -- the modelled side (shared with experiments/fig15_roofline.py) -------------
-
-
-def model_roofline_points(
-    circuits: tuple[str, ...],
-    sizes: tuple[int, ...],
-    versions: tuple,
-    machine,
-    gpu,
-) -> list[tuple[tuple[str, int, str], Any]]:
-    """The Fig. 15 sweep: one modelled roofline point per grid cell.
-
-    Returns ``((family, size, version.name), RooflinePoint)`` tuples in
-    the experiment's historical iteration order (family-major, then size,
-    then version), so the fig15 experiment reproduces its rows
-    byte-identically by formatting this sequence.
-
-    Imports are deferred so :mod:`repro.obs` stays importable without
-    pulling the experiment/DES stack in.
-    """
-    from repro.analysis.roofline import roofline_point
-    from repro.experiments.common import timed_run
-
-    points = []
-    for family in circuits:
-        for size in sizes:
-            for version in versions:
-                timing = timed_run(family, size, version, machine=machine)
-                point = roofline_point(timing, gpu)
-                points.append(((family, size, version.name), point))
-    return points

@@ -141,8 +141,7 @@ class _SpanHandle:
     """Open-span context manager; records a :class:`Span` on exit."""
 
     __slots__ = (
-        "_tracer", "name", "stage", "lane", "parent", "attrs", "index",
-        "start", "alloc0",
+        "_tracer", "name", "stage", "lane", "parent", "attrs", "index", "start",
     )
 
     def __init__(
@@ -162,7 +161,6 @@ class _SpanHandle:
         self.attrs = attrs
         self.index = -1
         self.start: float = 0.0
-        self.alloc0: int | None = None
 
     def __enter__(self) -> "_SpanHandle":
         self._tracer._enter(self)
@@ -184,25 +182,6 @@ class Tracer:
             null context manager; counters still work.
         counters: Registry spans and call sites count into (default: a
             fresh :class:`CounterRegistry`).
-        histograms: When True (the default for an enabled tracer's call
-            sites to honour), every staged span's duration is observed
-            into the ``span_seconds`` histogram of the counter registry,
-            one series per stage, and instrumented call sites record
-            distribution metrics (e.g. chunk bytes).  Pass False to keep
-            full tracing but skip histogram bookkeeping.
-        memory: When True, every staged span additionally records memory
-            telemetry at exit: the process peak RSS into the
-            ``span_peak_bytes`` histogram (one series per stage) and -
-            when :mod:`tracemalloc` is tracing - the net python
-            allocation delta over the span into ``span_alloc_bytes``.
-            Off by default: reading ``/proc`` per span exit is cheap but
-            not free, and the disabled-tracer path must stay under the
-            <3% overhead gate.
-        profiler: Optional :class:`~repro.obs.profile.SamplingProfiler`
-            to attach.  Attachment wires the profiler to this tracer's
-            open-span registry so wall-clock samples are attributed to
-            the currently open span stage per lane; starting and
-            stopping the sampler stays explicit (``with profiler:``).
     """
 
     def __init__(
@@ -210,29 +189,14 @@ class Tracer:
         clock: Any = None,
         enabled: bool = True,
         counters: CounterRegistry | None = None,
-        histograms: bool = True,
-        memory: bool = False,
-        profiler: Any = None,
     ) -> None:
         self.enabled = enabled
         self.clock = clock if clock is not None else WallClock()
         self.counters = counters if counters is not None else CounterRegistry()
-        self.histograms = histograms
-        self.memory = memory
         self._lock = threading.Lock()
         self._spans: list[Span] = []
         self._next_index = 0
         self._local = threading.local()
-        self._stage_hists: dict[str, Any] = {}
-        #: Live per-thread open-span stacks (thread ident -> the same list
-        #: object ``_local.stack`` aliases).  Registered once per thread on
-        #: its first span, so the hot span path pays nothing extra; the
-        #: sampling profiler reads the stacks racily, which is safe - a
-        #: torn read only misattributes that one sample.
-        self._open_stacks: dict[int, list[_SpanHandle]] = {}
-        self.profiler = profiler
-        if profiler is not None:
-            profiler.attach(self)
 
     # -- span API ------------------------------------------------------------
 
@@ -273,27 +237,6 @@ class Tracer:
             return None
         return stack[-1].index
 
-    def open_stages(self) -> dict[int, tuple[str | None, str, str]]:
-        """Per-thread ``(stage, span name, lane)`` of the innermost open span.
-
-        Keyed by thread ident; the stage is the innermost *staged* open
-        span's (structural spans are skipped upward).  Read racily by the
-        sampling profiler - stacks mutate concurrently, so entries may be
-        one span stale, which only smears a single sample.
-        """
-        out: dict[int, tuple[str | None, str, str]] = {}
-        for ident, stack in list(self._open_stacks.items()):
-            top = stack[-1] if stack else None
-            if top is None:
-                continue
-            stage = None
-            for handle in reversed(stack):
-                if handle.stage is not None:
-                    stage = handle.stage
-                    break
-            out[ident] = (stage, top.name, top.lane or "main")
-        return out
-
     # -- results -------------------------------------------------------------
 
     @property
@@ -317,8 +260,6 @@ class Tracer:
         stack = getattr(self._local, "stack", None)
         if stack is None:
             stack = self._local.stack = []
-            with self._lock:
-                self._open_stacks[threading.get_ident()] = stack
         if handle.parent is None and stack:
             handle.parent = stack[-1].index
         if handle.lane is None:
@@ -326,11 +267,6 @@ class Tracer:
         with self._lock:
             handle.index = self._next_index
             self._next_index += 1
-        if self.memory and handle.stage is not None:
-            import tracemalloc
-
-            if tracemalloc.is_tracing():
-                handle.alloc0 = tracemalloc.get_traced_memory()[0]
         handle.start = self.clock.tick()
         stack.append(handle)
 
@@ -353,29 +289,6 @@ class Tracer:
         )
         with self._lock:
             self._spans.append(span)
-        if self.histograms and span.stage is not None:
-            series = self._stage_hists.get(span.stage)
-            if series is None:
-                series = self._stage_hists[span.stage] = self.counters.histogram(
-                    "span_seconds", stage=span.stage
-                )
-            series.observe(span.duration)
-        if self.memory and span.stage is not None:
-            from repro.obs.profile import process_peak_rss_bytes
-
-            peak = process_peak_rss_bytes()
-            if peak:
-                self.counters.histogram(
-                    "span_peak_bytes", stage=span.stage
-                ).observe(peak)
-            if handle.alloc0 is not None:
-                import tracemalloc
-
-                if tracemalloc.is_tracing():
-                    delta = tracemalloc.get_traced_memory()[0] - handle.alloc0
-                    self.counters.histogram(
-                        "span_alloc_bytes", stage=span.stage
-                    ).observe(max(0, delta))
 
 
 #: Shared disabled tracer: the default for every instrumented call site.

@@ -40,8 +40,8 @@ class MetricsRegistry:
             dispatch pass.
         retry_backoff_seconds: Modelled backoff charged by the recovery
             policy across all job retries (never slept, only accounted).
-        job_records: One summary dict per terminal job, in submission
-            order.
+        job_records: One summary dict per terminal job, in the order
+            the jobs reached their terminal state.
     """
 
     def __init__(self, counters: CounterRegistry | None = None) -> None:
@@ -90,13 +90,7 @@ class MetricsRegistry:
         })
 
     def record_job(self, job: Job) -> None:
-        """Append the terminal summary of ``job``; observe latency histograms."""
-        if job.wait_time is not None:
-            self.counters.histogram("job_wait_seconds").observe(job.wait_time)
-        if job.submitted_at is not None and job.finished_at is not None:
-            self.counters.histogram("job_latency_seconds").observe(
-                job.finished_at - job.submitted_at
-            )
+        """Append the terminal summary of ``job``."""
         self.job_records.append({
             "id": job.job_id,
             "name": job.spec.display_name,

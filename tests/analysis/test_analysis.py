@@ -7,13 +7,13 @@ import pytest
 
 from repro.analysis.amplitudes import amplitude_snapshots
 from repro.analysis.breakdown import average_breakdown, breakdown
-from repro.analysis.roofline import roofline_ceiling, roofline_point
 from repro.analysis.tables import format_table
 from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
 from repro.core.versions import BASELINE, NAIVE, QGPU
 from repro.errors import SimulationError
 from repro.hardware.specs import P100, V100_16GB
+from repro.obs.roofline import roofline_ceiling, roofline_point
 from repro.statevector.state import simulate
 
 

@@ -62,6 +62,24 @@ def test_to_json_deterministic():
     assert text == counters.to_json({"run": "bv_8"})
 
 
+def test_to_json_without_extra_holds_only_counters():
+    counters = CounterRegistry()
+    assert counters.to_json() == '{\n "counters": {}\n}\n'
+    counters.count("kernels.dense", 2)
+    assert list(json.loads(counters.to_json())) == ["counters"]
+
+
+def test_float_accumulators_add_and_merge():
+    a = CounterRegistry()
+    a.add("kernel_seconds.dense", 0.25)
+    a.add("kernel_seconds.dense", 0.5)
+    b = CounterRegistry()
+    b.add("kernel_seconds.dense", 0.25)
+    a.merge(b)
+    assert a.get("kernel_seconds.dense") == 1.0
+    assert isinstance(a.get("kernel_seconds.dense"), float)
+
+
 def test_thread_safety_under_contention():
     counters = CounterRegistry()
 

@@ -7,7 +7,14 @@ import threading
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import NULL_TRACER, STAGES, LogicalClock, Tracer, stage_for_resource
+from repro.obs import (
+    NULL_TRACER,
+    STAGES,
+    CounterRegistry,
+    LogicalClock,
+    Tracer,
+    stage_for_resource,
+)
 
 
 def test_single_span_records_interval():
@@ -38,6 +45,21 @@ def test_unknown_stage_rejected():
     with pytest.raises(ObservabilityError):
         with tracer.span("bad", stage="warp-drive"):
             pass
+
+
+@pytest.mark.parametrize("option", ["histograms", "memory", "profiler"])
+def test_retired_tracer_options_rejected(option):
+    """The trace is the one record: no histogram, memory or profiler options."""
+    with pytest.raises(TypeError, match=option):
+        Tracer(clock=LogicalClock(), **{option: True})
+
+
+def test_tracer_takes_only_clock_enabled_and_counters():
+    import inspect
+
+    assert list(inspect.signature(Tracer).parameters) == ["clock", "enabled", "counters"]
+    counters = CounterRegistry()
+    assert Tracer(counters=counters).counters is counters
 
 
 def test_stage_optional():

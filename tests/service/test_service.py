@@ -373,15 +373,27 @@ class TestMetricsAbsorption:
         assert (snap["counters"]["sim.chunk_updates_total"]
                 == direct.chunk_updates_total)
 
-    def test_job_latency_histograms_recorded(self) -> None:
+    def test_every_terminal_job_record_carries_wait_and_run_time(self) -> None:
         svc = service()
         svc.submit(JobSpec(family="bv", qubits=6))
         svc.submit(JobSpec(family="gs", qubits=6))
+        svc.submit(JobSpec(family="bv", qubits=6))  # cache hit
         svc.run_until_complete()
-        snapshot = svc.metrics.counters.histogram_snapshot()
-        assert snapshot["job_latency_seconds"]["count"] == 2
-        assert snapshot["job_wait_seconds"]["count"] == 2
-        assert snapshot["job_latency_seconds"]["sum"] > 0
+        records = json.loads(svc.metrics_json())["jobs"]
+        assert sorted(record["id"] for record in records) == [job.job_id for job in svc.jobs]
+        for record in records:
+            assert record["wait_time"] is not None and record["wait_time"] >= 0, record
+            assert record["run_time"] is not None and record["run_time"] > 0, record
+
+
+    def test_metrics_json_keys_are_the_service_record(self) -> None:
+        svc = service()
+        svc.submit(JobSpec(family="bv", qubits=6))
+        svc.run_until_complete()
+        assert list(json.loads(svc.metrics_json())) == [
+            "cache", "config", "counters", "jobs", "max_queue_depth",
+            "retry_backoff_seconds", "supervision",
+        ]
 
 
 class TestSelfHealing:

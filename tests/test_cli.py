@@ -10,6 +10,9 @@ from repro.cli import main
 from repro.circuits.library import get_circuit
 from repro.circuits.qasm import to_qasm
 
+#: The repository root, where README.md, DESIGN.md and docs/ live.
+ROOT = Path(__file__).resolve().parents[1]
+
 
 class TestSimulate:
     def test_family_simulation(self, capsys) -> None:
@@ -373,9 +376,9 @@ class TestServeBatch:
 
 
 class TestRetiredSurface:
-    """Options and commands that the service and CLI census retired.
+    """Options and commands that the service, CLI and observability censuses retired.
 
-    DESIGN.md's census records each with a re-open condition; these pin
+    DESIGN.md's censuses record each with a re-open condition; these pin
     that the parser no longer accepts them.
     """
 
@@ -388,9 +391,14 @@ class TestRetiredSurface:
             ["serve-batch", "--manifest", "jobs.json", "--http-linger", "1"],
             ["serve-batch", "--manifest", "jobs.json", "--memory-budget-gb", "1"],
             ["trace", "analyze", "trace.json", "--prom", "fleet.prom"],
+            ["simulate", "--family", "bv", "--qubits", "4", "--profile"],
+            ["simulate", "--family", "bv", "--qubits", "4", "--memory"],
+            ["transpile", "--family", "bv", "--qubits", "4", "--profile"],
+            ["transpile", "--family", "bv", "--qubits", "4", "--memory"],
         ],
         ids=["chaos", "http-port", "http-host", "http-linger",
-             "memory-budget-gb", "prom"],
+             "memory-budget-gb", "prom", "simulate-profile", "simulate-memory",
+             "transpile-profile", "transpile-memory"],
     )
     def test_parser_rejects(self, argv, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -409,7 +417,7 @@ class TestRetiredSurface:
             if isinstance(action, argparse._SubParsersAction)
         )
         commands = set(sub.choices)
-        design = Path(__file__).resolve().parents[1] / "DESIGN.md"
+        design = ROOT / "DESIGN.md"
         section = design.read_text().split("### Service and CLI census", 1)[1]
         section = section.split("\n## ", 1)[0]
         decisions: dict[str, str] = {}
@@ -429,6 +437,50 @@ class TestRetiredSurface:
             assert decisions[name].startswith("keep"), (name, decisions[name])
         assert decisions["chaos"].startswith("retired")
         assert "chaos" not in commands
+
+    def test_observability_census_has_a_row_per_obs_module(self) -> None:
+        import re
+
+        import repro.obs
+
+        package = Path(repro.obs.__file__).parent
+        modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+        design = ROOT / "DESIGN.md"
+        section = design.read_text().split("### Observability census", 1)[1]
+        section = section.split("\n#", 1)[0]
+        decisions: dict[str, str] = {}
+        for row in section.splitlines():
+            cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+            if len(cells) != 5:
+                continue
+            for module in re.findall(r"`obs/(\w+)\.py`", cells[0]):
+                decisions.setdefault(module, cells[3])
+        assert modules <= set(decisions), sorted(modules - set(decisions))
+        for module, decision in decisions.items():
+            expected = "keep" if module in modules else "retired"
+            assert decision.startswith(expected), (module, decision)
+        assert {"profile", "hist"} <= set(decisions) - modules
+
+    @pytest.mark.parametrize(
+        "doc",
+        ["README.md", *sorted(path.name for path in (ROOT / "docs").glob("*.md"))],
+    )
+    def test_user_docs_name_no_retired_observability_feature(self, doc) -> None:
+        import re
+
+        path = ROOT / doc if doc == "README.md" else ROOT / "docs" / doc
+        retired = re.compile(
+            r"--(?:profile|memory)\b(?!-)|Tracer\((?:histograms|memory|profiler)="
+            r"|SamplingProfiler|flamegraph|histogram_snapshot|span_peak_bytes"
+            r"|span_alloc_bytes|process_(?:peak_)?rss_bytes|span_seconds|chunk_bytes"
+            r"|fused_slab_width|job_(?:wait|latency)_seconds"
+        )
+        hits = [
+            f"{doc}:{number}: {line.strip()}"
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if retired.search(line)
+        ]
+        assert not hits, hits
 
 
 class TestBenchLedger:
@@ -555,6 +607,26 @@ class TestObservability:
         counters = json.loads(metrics.read_text())["counters"]
         assert counters["transpile.passes"] >= 1
         assert counters["transpile.gates_out"] > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--family", "bv", "--qubits", "6", "--workers", "1"],
+            ["simulate", "--family", "qft", "--qubits", "6", "--workers", "1",
+             "--trace", "{dir}/run.trace.json", "--trace-clock", "logical"],
+            ["transpile", "--family", "gs", "--qubits", "4"],
+        ],
+        ids=["simulate", "simulate-traced", "transpile"],
+    )
+    def test_metrics_export_holds_only_counters(self, argv, tmp_path, capsys) -> None:
+        import json
+
+        metrics = tmp_path / "run.metrics.json"
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        assert main([*argv, "--metrics", str(metrics)]) == 0
+        snap = json.loads(metrics.read_text())
+        assert list(snap) == ["counters"]
+        assert snap["counters"]
 
     def test_log_flags_accepted(self, capsys) -> None:
         assert main(["--log-level", "info", "--log-format", "json",

@@ -207,7 +207,7 @@ TEST_SEAMS = {
     "repro.analysis.capacity:CapacityGain.extra_qubits": (
         "the qubits capacity_gain's record adds, asserted by the same checks"
     ),
-    "repro.analysis.roofline:RooflinePoint.memory_bound": (
+    "repro.obs.roofline:RooflinePoint.memory_bound": (
         "the roofline and Fig. 15 tests assert which kernels are memory bound"
     ),
     "repro.circuits.circuit:QuantumCircuit.gate_counts": (
