@@ -21,8 +21,7 @@ Subcommands:
 * ``transpile`` - decompose/merge/cancel a circuit and print QASM
   (``--fingerprint`` prints the content hash instead);
 * ``reliability`` - fault-injection demo: verify that recovery keeps the
-  result bit-identical, that checkpoint/resume works mid-circuit, and
-  report the modelled retry overhead;
+  result bit-identical and that checkpoint/resume works mid-circuit;
 * ``serve-batch`` - run a JSON manifest of jobs through the batch service
   (scheduling policy, worker pool, result cache, watchdog supervision and
   crash recovery);
@@ -478,9 +477,8 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
 
     circuit = _load_circuit(args)
     version = VERSIONS_BY_NAME[args.version]
-    machine = MACHINES[args.machine]
     plan = _fault_plan(args) or FaultPlan.from_spec(
-        "seed=7,transfer=0.05,codec=0.02,degrade=0.05"
+        "seed=7,transfer=0.05,codec=0.05,oom=1"
     )
     print(f"{circuit.name}: {len(circuit)} gates, version {version.name}")
     print(f"fault plan: {plan.describe()}")
@@ -519,27 +517,6 @@ def _cmd_reliability(args: argparse.Namespace) -> int:
         )
         print(f"resumed from gate {resumed.reliability.resumed_from_gate}; "
               f"final state bit-identical: {resumed_ok}")
-
-    # 3. The timed model itemizes the reliability overhead.  Faults only
-    # cost time when chunks actually stream, so model an out-of-core width
-    # of the same family when the requested circuit is GPU-resident.
-    timed_circuit = circuit
-    if getattr(args, "family", None) and args.qubits < 30:
-        timed_circuit = get_circuit(args.family, 30, seed=args.seed)
-    print(f"\n-- modelled reliability overhead on {machine.name} "
-          f"({timed_circuit.name}) --")
-    clean_t = QGpuSimulator(machine=machine, version=version).estimate(timed_circuit)
-    faulty_t = QGpuSimulator(
-        machine=machine, version=version, fault_plan=plan
-    ).estimate(timed_circuit)
-    overhead = faulty_t.total_seconds - clean_t.total_seconds
-    print(f"fault-free makespan : {clean_t.total_seconds:12.3f} s")
-    print(f"faulty makespan     : {faulty_t.total_seconds:12.3f} s "
-          f"(+{overhead:.3f} s, {faulty_t.faults_injected} faults)")
-    print(f"  retry + backoff   : {faulty_t.retry_seconds:12.3f} s")
-    if faulty_t.compression_disabled_at is not None:
-        print(f"  compression disabled at gate {faulty_t.compression_disabled_at} "
-              "(degradation; remainder streams uncompressed)")
     return 0 if identical and resumed_ok else 1
 
 
@@ -910,14 +887,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     reliability = sub.add_parser(
         "reliability",
-        help="fault-injection demo: recovery, checkpoint/resume, overhead",
+        help="fault-injection demo: recovery and checkpoint/resume",
     )
     _add_circuit_options(reliability)
-    reliability.add_argument("--machine", default="p100", choices=sorted(MACHINES))
     reliability.add_argument("--version", default="Q-GPU",
                              choices=sorted(VERSIONS_BY_NAME))
     reliability.add_argument("--fault-plan", metavar="SPEC",
-                             help="e.g. 'seed=7,transfer=0.05,codec=0.02'")
+                             help="default 'seed=7,transfer=0.05,codec=0.05,oom=1'")
     reliability.add_argument("--kill-at", type=int, metavar="GATE",
                              help="simulated crash point (default: mid-circuit)")
     reliability.add_argument("--checkpoint-every", type=int, metavar="N",

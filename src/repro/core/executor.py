@@ -35,9 +35,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.core.liveness import LiveTracker, live_schedule
 from repro.core.reorder import reorder
 from repro.core.versions import VersionConfig
-from repro.errors import FaultInjectionError, IntegrityError, SimulationError
-from repro.reliability.faults import FaultPlan
-from repro.reliability.policy import DEFAULT_POLICY, RecoveryPolicy
+from repro.errors import SimulationError
 from repro.hardware.machine import Machine
 from repro.hardware.pipeline import (
     StageTimes,
@@ -71,11 +69,9 @@ class GateTiming:
     gpu_seconds: float = 0.0
     transfer_seconds: float = 0.0
     codec_seconds: float = 0.0
-    retry_seconds: float = 0.0
     bytes_h2d: float = 0.0
     bytes_d2h: float = 0.0
     live_fraction: float = 1.0
-    faults: int = 0
 
 
 @dataclass
@@ -93,15 +89,10 @@ class TimedResult:
         transfer_seconds: Time *exposed* by data movement - the part of the
             makespan not covered by compute (what Fig. 13 plots).
         codec_seconds: GPU time spent in GFC compress/decompress.
-        retry_seconds: Time spent retransmitting faulted transfers and
-            waiting out retry backoff (zero on a fault-free timeline).
         bytes_h2d: Bytes moved host-to-device (post-compression).
         bytes_d2h: Bytes moved device-to-host (post-compression).
         gpu_flops: Floating-point operations executed on the GPU.
         gpu_bytes_touched: DRAM traffic of the GPU kernels (for rooflines).
-        faults_injected: Injected faults charged to this timeline.
-        compression_disabled_at: Gate index where repeated codec faults
-            disabled compression (None = never).
         per_gate: Per-gate records, in execution order.
     """
 
@@ -114,13 +105,10 @@ class TimedResult:
     gpu_seconds: float = 0.0
     transfer_seconds: float = 0.0
     codec_seconds: float = 0.0
-    retry_seconds: float = 0.0
     bytes_h2d: float = 0.0
     bytes_d2h: float = 0.0
     gpu_flops: float = 0.0
     gpu_bytes_touched: float = 0.0
-    faults_injected: int = 0
-    compression_disabled_at: int | None = None
     per_gate: list[GateTiming] = field(default_factory=list)
 
     def add(self, timing: GateTiming) -> None:
@@ -130,44 +118,37 @@ class TimedResult:
         self.gpu_seconds += timing.gpu_seconds
         self.transfer_seconds += timing.transfer_seconds
         self.codec_seconds += timing.codec_seconds
-        self.retry_seconds += timing.retry_seconds
         self.bytes_h2d += timing.bytes_h2d
         self.bytes_d2h += timing.bytes_d2h
-        self.faults_injected += timing.faults
 
     def to_csv(self) -> str:
         """Per-gate records as CSV text (for offline analysis/plotting)."""
         header = (
             "index,name,seconds,cpu_seconds,gpu_seconds,transfer_seconds,"
-            "codec_seconds,retry_seconds,bytes_h2d,bytes_d2h,live_fraction,faults"
+            "codec_seconds,bytes_h2d,bytes_d2h,live_fraction"
         )
         lines = [header]
         for g in self.per_gate:
             lines.append(
                 f"{g.index},{g.name},{g.seconds!r},{g.cpu_seconds!r},"
                 f"{g.gpu_seconds!r},{g.transfer_seconds!r},{g.codec_seconds!r},"
-                f"{g.retry_seconds!r},{g.bytes_h2d!r},{g.bytes_d2h!r},"
-                f"{g.live_fraction!r},{g.faults}"
+                f"{g.bytes_h2d!r},{g.bytes_d2h!r},{g.live_fraction!r}"
             )
         return "\n".join(lines) + "\n"
 
     def breakdown(self) -> dict[str, float]:
-        """Fractions of total time: cpu / gpu / transfer / codec / retry / other."""
+        """Fractions of total time: cpu / gpu / transfer / codec / other."""
         total = self.total_seconds or 1.0
         cpu = self.cpu_seconds / total
         gpu = self.gpu_seconds / total
         transfer = self.transfer_seconds / total
         codec = self.codec_seconds / total
-        retry = self.retry_seconds / total
         return {
             "cpu": cpu,
             "gpu": min(gpu, 1.0),
             "transfer": transfer,
             "codec": codec,
-            "retry": retry,
-            "other": max(
-                0.0, 1.0 - cpu - min(gpu, 1.0) - transfer - codec - retry
-            ),
+            "other": max(0.0, 1.0 - cpu - min(gpu, 1.0) - transfer - codec),
         }
 
 
@@ -177,23 +158,16 @@ class TimedExecutor:
     Args:
         machine: Target machine.
         chunk_bits: Within-chunk qubits (default: Aer's 2^21 amplitudes).
-        fault_plan: Deterministic fault plan charged against the timeline
-            (None = fault-free): transfer/codec faults cost retransmission
-            plus exponential backoff, link degradation stretches streaming.
-        reliability_policy: Retry budget and backoff schedule.
+
+    The timeline is fault-free, as every timing in the paper is: fault
+    injection and recovery act on the functional engine only.
     """
 
     def __init__(
-        self,
-        machine: Machine,
-        chunk_bits: int = DEFAULT_CHUNK_BITS,
-        fault_plan: FaultPlan | None = None,
-        reliability_policy: RecoveryPolicy = DEFAULT_POLICY,
+        self, machine: Machine, chunk_bits: int = DEFAULT_CHUNK_BITS
     ) -> None:
         self.machine = machine
         self.chunk_bits = chunk_bits
-        self.fault_plan = fault_plan if fault_plan is not None and fault_plan.active else None
-        self.reliability_policy = reliability_policy
 
     # -- public API ---------------------------------------------------------
 
@@ -390,79 +364,6 @@ class TimedExecutor:
             )
         )
 
-    # -- fault charging ----------------------------------------------------------
-
-    @staticmethod
-    def _charge_faults(
-        plan: FaultPlan,
-        policy: RecoveryPolicy,
-        gate_index: int,
-        batches: int,
-        stage: StageTimes,
-        codec_per_batch: float,
-        compression_on: bool,
-    ) -> tuple[float, int, int]:
-        """Retry/backoff seconds the fault plan costs one gate's stream.
-
-        Every faulted batch is retransmitted (H2D + D2H again) after an
-        exponential-backoff wait; a codec fault redecodes and refetches.
-        Returns ``(retry_seconds, faults, codec_faults)``.
-
-        Raises:
-            IntegrityError: A fault fired and the policy forbids retry.
-            FaultInjectionError: A batch stayed faulted past the retry
-                budget.
-        """
-        retry_seconds = 0.0
-        faults = 0
-        codec_faults = 0
-        for batch in range(batches):
-            attempt = 0
-            while True:
-                event = plan.transfer_fault(gate_index, batch, attempt)
-                if event is None:
-                    break
-                faults += 1
-                if policy.on_fault == "raise":
-                    raise IntegrityError(
-                        f"gate {gate_index} batch {batch}: {event.kind.value} "
-                        "detected and policy forbids retry"
-                    )
-                attempt += 1
-                if attempt >= policy.max_transfer_attempts:
-                    raise FaultInjectionError(
-                        f"gate {gate_index} batch {batch}: transfer still "
-                        f"faulted after {policy.max_transfer_attempts} attempts"
-                    )
-                retry_seconds += (
-                    stage.h2d + stage.d2h + policy.backoff_seconds(attempt)
-                )
-            if not compression_on:
-                continue
-            attempt = 0
-            while True:
-                event = plan.codec_fault(gate_index, batch, attempt)
-                if event is None:
-                    break
-                faults += 1
-                codec_faults += 1
-                if policy.on_fault == "raise":
-                    raise IntegrityError(
-                        f"gate {gate_index} batch {batch}: codec decode fault "
-                        "detected and policy forbids retry"
-                    )
-                attempt += 1
-                if attempt >= policy.max_transfer_attempts:
-                    raise FaultInjectionError(
-                        f"gate {gate_index} batch {batch}: codec still "
-                        f"failing after {policy.max_transfer_attempts} attempts"
-                    )
-                # Redecode after refetching the compressed batch.
-                retry_seconds += (
-                    codec_per_batch + stage.h2d + policy.backoff_seconds(attempt)
-                )
-        return retry_seconds, faults, codec_faults
-
     # -- dynamic streaming versions ---------------------------------------------
 
     def _execute_streaming(
@@ -480,12 +381,7 @@ class TimedExecutor:
         # Overlapped streaming halves each GPU's buffer; naive streaming
         # fills the whole device per batch.
         buffer_bytes = capacity // 2 if version.overlap else capacity
-        plan = self.fault_plan
-        policy = self.reliability_policy
-        # Graceful degradation: repeated codec faults disable compression
-        # for the remainder of the run.
-        compression_on = version.compression
-        codec_faults = 0
+        ratio = compression_ratio if version.compression else 1.0
         tracker = LiveTracker(n, version.pruning)
         chunk_bits = self._effective_chunk_bits(n)
         link_bw = machine.spec.link.bandwidth_per_direction
@@ -495,12 +391,10 @@ class TimedExecutor:
         # entirely in device memory stays resident.
         whole_state_resident = (AMP_BYTES << n) <= total_capacity
         resident_live_bytes = 0.0
-        # Without a fault plan a gate's record depends only on its class -
-        # the amplitudes it touches, the DMA runs they span, its width and
-        # whether it is diagonal - so each class is priced once and its
-        # record replayed, adding the same floats in the same order.  A
-        # fault plan keys degradation and retries on the gate index, so
-        # those runs price every gate.
+        # A gate's record depends only on its class - the amplitudes it
+        # touches, the DMA runs they span, its width and whether it is
+        # diagonal - so each class is priced once and its record replayed,
+        # adding the same floats in the same order.
         prices: dict[tuple[int, int, int, bool], tuple[float, GateTiming]] = {}
 
         for gate, index, touched in live_schedule(ops, tracker):
@@ -538,65 +432,36 @@ class TimedExecutor:
                     index=index, name=gate.name, seconds=kernel_time,
                     gpu_seconds=kernel_time, live_fraction=live_fraction,
                 )
-                if plan is None:
-                    prices[key] = flops, timing
-                result.add(timing)
-                continue
-
-            ratio = compression_ratio if compression_on else 1.0
-            per_gpu_bytes = live_bytes / num_gpus
-            batches = max(1, math.ceil(per_gpu_bytes / buffer_bytes))
-            batch_bytes = per_gpu_bytes / batches
-            stream_bytes = batch_bytes * ratio
-            copies_per_batch = max(1.0, copy_runs / num_gpus / batches)
-            codec_per_batch = (
-                machine.codec_time(2 * batch_bytes) if compression_on else 0.0
-            )
-            slowdown = plan.link_degradation(index) if plan is not None else 1.0
-            stage = StageTimes(
-                h2d=stream_bytes / link_bw * slowdown + latency * copies_per_batch,
-                compute=kernel_time / batches + codec_per_batch,
-                d2h=stream_bytes / link_bw * slowdown + latency * copies_per_batch,
-            )
-            if version.overlap:
-                seconds = double_buffered_roundtrip(batches, stage)
             else:
-                seconds = serial_roundtrip(batches, stage)
-            gate_faults = 1 if slowdown > 1.0 else 0
-            retry_seconds = 0.0
-            if plan is not None:
-                retried, faulted, codec_faulted = self._charge_faults(
-                    plan, policy, index, batches, stage, codec_per_batch,
-                    compression_on,
+                per_gpu_bytes = live_bytes / num_gpus
+                batches = max(1, math.ceil(per_gpu_bytes / buffer_bytes))
+                batch_bytes = per_gpu_bytes / batches
+                stream_bytes = batch_bytes * ratio
+                copies_per_batch = max(1.0, copy_runs / num_gpus / batches)
+                codec_per_batch = (
+                    machine.codec_time(2 * batch_bytes) if version.compression else 0.0
                 )
-                retry_seconds = retried
-                gate_faults += faulted
-                codec_faults += codec_faulted
-                if (
-                    compression_on
-                    and codec_faults >= policy.codec_fault_limit
-                ):
-                    compression_on = False
-                    result.compression_disabled_at = index
-            seconds += retry_seconds
-            compute_busy = batches * stage.compute
-            transfer_exposed = max(0.0, seconds - retry_seconds - compute_busy)
-            codec_seconds = batches * codec_per_batch
-            timing = GateTiming(
-                index=index,
-                name=gate.name,
-                seconds=seconds,
-                gpu_seconds=kernel_time,
-                transfer_seconds=transfer_exposed,
-                codec_seconds=codec_seconds,
-                retry_seconds=retry_seconds,
-                bytes_h2d=stream_bytes * batches * num_gpus,
-                bytes_d2h=stream_bytes * batches * num_gpus,
-                live_fraction=live_fraction,
-                faults=gate_faults,
-            )
-            if plan is None:
-                prices[key] = flops, timing
+                stage = StageTimes(
+                    h2d=stream_bytes / link_bw + latency * copies_per_batch,
+                    compute=kernel_time / batches + codec_per_batch,
+                    d2h=stream_bytes / link_bw + latency * copies_per_batch,
+                )
+                if version.overlap:
+                    seconds = double_buffered_roundtrip(batches, stage)
+                else:
+                    seconds = serial_roundtrip(batches, stage)
+                timing = GateTiming(
+                    index=index,
+                    name=gate.name,
+                    seconds=seconds,
+                    gpu_seconds=kernel_time,
+                    transfer_seconds=max(0.0, seconds - batches * stage.compute),
+                    codec_seconds=batches * codec_per_batch,
+                    bytes_h2d=stream_bytes * batches * num_gpus,
+                    bytes_d2h=stream_bytes * batches * num_gpus,
+                    live_fraction=live_fraction,
+                )
+            prices[key] = flops, timing
             result.add(timing)
 
         if resident_live_bytes:

@@ -11,13 +11,13 @@
 * :meth:`QGpuSimulator.estimate` - *timed* simulation at any width: runs the
   machine-model executor and returns a :class:`~repro.core.executor.TimedResult`.
 
-Both halves accept a :class:`~repro.reliability.faults.FaultPlan` and a
-:class:`~repro.reliability.policy.RecoveryPolicy`: the functional engine
-injects real corruption into chunk transfers (detected by CRC32 guards
-and recovered by retrying from the pristine source, so a recovered run
-stays bit-identical), while the timed engine charges retry and backoff
-time on the modelled link.  :meth:`QGpuSimulator.run` can also write
-periodic checkpoints and resume from one bit-exactly.
+A :class:`~repro.reliability.faults.FaultPlan` and a
+:class:`~repro.reliability.policy.RecoveryPolicy` act on the functional
+engine only: it injects real corruption into chunk transfers (detected by
+CRC32 guards and recovered by retrying from the pristine source, so a
+recovered run stays bit-identical).  The timed engine prices the
+fault-free timeline, as the paper does.  :meth:`QGpuSimulator.run` can
+also write periodic checkpoints and resume from one bit-exactly.
 
 Typical use::
 
@@ -167,8 +167,8 @@ class QGpuSimulator:
         version: Execution version (default: full Q-GPU).
         chunk_bits: Within-chunk qubits for the functional engine; the timed
             engine uses Aer's default unless overridden.
-        fault_plan: Deterministic fault plan injected into both engines
-            (None = fault-free).
+        fault_plan: Deterministic fault plan injected into the functional
+            engine (None = fault-free); :meth:`estimate` ignores it.
         reliability_policy: Detection/recovery policy applied when faults
             or integrity guards are active.
         workers: Chunk-worker threads for the functional engine.  The
@@ -753,9 +753,8 @@ class QGpuSimulator:
     ) -> TimedResult:
         """Model the wall-clock execution of ``circuit`` on this machine.
 
-        With a fault plan attached, the timeline charges retransmission
-        and exponential backoff on every injected transfer/codec fault,
-        itemized in ``TimedResult.retry_seconds``.
+        The timeline is fault-free: an attached fault plan acts on
+        :meth:`run` only.
 
         Args:
             circuit: Circuit at any width the host can hold.
@@ -793,7 +792,5 @@ class QGpuSimulator:
         executor = TimedExecutor(
             self.machine,
             **({"chunk_bits": self.chunk_bits} if self.chunk_bits is not None else {}),
-            fault_plan=self.fault_plan,
-            reliability_policy=self.reliability_policy,
         )
         return executor.execute(circuit, self.version, compression_ratio)

@@ -15,19 +15,18 @@ Fault taxonomy (see ``docs/reliability.md``):
 * ``TRUNCATION`` - a transfer delivers only a prefix, the tail reads zero;
 * ``DROP`` - the transfer never arrives at all;
 * ``DECODE`` - the GFC codec fails to decode a compressed chunk;
-* ``LINK_DEGRADE`` - the PCIe link transiently loses bandwidth (timed
-  model only - it delays but never corrupts);
 * ``OOM`` - a host/device allocation fails.
 
-Service-layer kinds (injected by the batch service's chaos harness, not
-by the transfer guard):
+These act on the functional engine only; the timed model prices the
+fault-free timeline, as every figure of the paper does.
+
+Service-layer kinds (injected by the batch service's ``chaos_plan``, not
+by the transfer guard; a plan spec cannot spell them):
 
 * ``WORKER_CRASH`` - a worker thread dies mid-job with an unexpected
   error;
 * ``WORKER_STALL`` - a worker hangs (stops heartbeating) until the
   watchdog reaps it;
-* ``JOURNAL_TORN_WRITE`` - a journal append is truncated mid-line, as a
-  process crash between ``write`` and ``flush`` would leave it;
 * ``CACHE_CORRUPT`` - a result-cache entry is corrupted at rest.
 """
 
@@ -50,11 +49,9 @@ class FaultKind(str, Enum):
     TRUNCATION = "truncation"
     DROP = "drop"
     DECODE = "decode"
-    LINK_DEGRADE = "link_degrade"
     OOM = "oom"
     WORKER_CRASH = "worker_crash"
     WORKER_STALL = "worker_stall"
-    JOURNAL_TORN_WRITE = "journal_torn_write"
     CACHE_CORRUPT = "cache_corrupt"
 
 
@@ -74,11 +71,10 @@ class FaultEvent:
     Attributes:
         kind: What went wrong.
         gate_index: Gate (op) during which the fault fires.
-        transfer_index: Transfer ordinal within the gate (0 for per-gate
-            faults such as link degradation).
+        transfer_index: Transfer ordinal within the gate (0 for
+            per-gate faults).
         attempt: Which delivery attempt is hit (0 = first try).
-        detail: Kind-specific payload - bit position for flips, slowdown
-            factor for link degradation.
+        detail: Kind-specific payload - the bit position for flips.
     """
 
     kind: FaultKind
@@ -104,7 +100,7 @@ class FaultPlan:
 
     Rates are per-opportunity probabilities: ``transfer_rate`` applies to
     every (gate, transfer, attempt) triple, ``codec_rate`` to every
-    compressed transfer receive, ``degrade_rate`` to every gate.
+    compressed transfer receive.
     ``oom_failures`` fails the first that many allocation attempts
     outright (deterministic, for exercising degradation paths).
 
@@ -112,11 +108,9 @@ class FaultPlan:
         seed: Root of every hash decision.
         transfer_rate: P(bit-flip/truncation/drop) per transfer attempt.
         codec_rate: P(GFC decode failure) per compressed receive.
-        degrade_rate: P(transient link degradation) per gate.
         oom_failures: Number of leading allocation attempts that fail.
         worker_crash_rate: P(worker dies mid-job) per (job, attempt).
         worker_stall_rate: P(worker hangs mid-job) per (job, attempt).
-        journal_torn_rate: P(journal append torn) per append ordinal.
         cache_corrupt_rate: P(cache entry corrupted) per cache put.
         forced: Extra faults injected unconditionally at their positions.
     """
@@ -124,11 +118,9 @@ class FaultPlan:
     seed: int = 0
     transfer_rate: float = 0.0
     codec_rate: float = 0.0
-    degrade_rate: float = 0.0
     oom_failures: int = 0
     worker_crash_rate: float = 0.0
     worker_stall_rate: float = 0.0
-    journal_torn_rate: float = 0.0
     cache_corrupt_rate: float = 0.0
     forced: tuple[FaultEvent, ...] = field(default=())
 
@@ -136,10 +128,8 @@ class FaultPlan:
         for name in (
             "transfer_rate",
             "codec_rate",
-            "degrade_rate",
             "worker_crash_rate",
             "worker_stall_rate",
-            "journal_torn_rate",
             "cache_corrupt_rate",
         ):
             rate = getattr(self, name)
@@ -199,16 +189,6 @@ class FaultPlan:
             return None
         return FaultEvent(FaultKind.DECODE, gate_index, transfer_index, attempt)
 
-    def link_degradation(self, gate_index: int) -> float:
-        """Link slowdown factor for one gate (1.0 = healthy link)."""
-        for event in self.forced:
-            if event.kind is FaultKind.LINK_DEGRADE and event.gate_index == gate_index:
-                return max(1.0, event.detail)
-        if self._uniform(5, gate_index) >= self.degrade_rate:
-            return 1.0
-        # Transient contention: 2x-8x slower, hash-derived so it replays.
-        return 2.0 * (1.0 + 3.0 * self._uniform(6, gate_index))
-
     def oom_fault(self, alloc_index: int) -> bool:
         """True when allocation attempt ``alloc_index`` fails."""
         if any(
@@ -237,12 +217,6 @@ class FaultPlan:
             return True
         return self._uniform(8, job_seq, attempt) < self.worker_stall_rate
 
-    def journal_torn_write(self, append_ordinal: int) -> bool:
-        """True when journal append ``append_ordinal`` is torn mid-line."""
-        if self._forced_at(FaultKind.JOURNAL_TORN_WRITE, append_ordinal):
-            return True
-        return self._uniform(9, append_ordinal) < self.journal_torn_rate
-
     def cache_corrupt(self, put_index: int) -> bool:
         """True when the ``put_index``-th cache store is corrupted at rest."""
         if self._forced_at(FaultKind.CACHE_CORRUPT, put_index):
@@ -255,11 +229,9 @@ class FaultPlan:
         return bool(
             self.transfer_rate
             or self.codec_rate
-            or self.degrade_rate
             or self.oom_failures
             or self.worker_crash_rate
             or self.worker_stall_rate
-            or self.journal_torn_rate
             or self.cache_corrupt_rate
             or self.forced
         )
@@ -270,22 +242,17 @@ class FaultPlan:
     def from_spec(cls, spec: str) -> "FaultPlan":
         """Parse a ``key=value`` spec, e.g. ``seed=7,transfer=0.05,oom=1``.
 
-        Keys: ``seed`` (int), ``transfer`` / ``codec`` / ``degrade``
-        (float rates), ``oom`` (int, leading allocation failures), and
-        the service-layer rates ``crash`` / ``stall`` / ``torn`` /
-        ``cachecorrupt`` (floats).
+        Keys: ``seed`` (int), ``transfer`` / ``codec`` (float rates) and
+        ``oom`` (int, leading allocation failures).  Only the in-run kinds
+        are spellable: the service-layer rates are set through the
+        constructor.
         """
         kwargs: dict[str, float | int] = {}
         names = {
             "seed": ("seed", int),
             "transfer": ("transfer_rate", float),
             "codec": ("codec_rate", float),
-            "degrade": ("degrade_rate", float),
             "oom": ("oom_failures", int),
-            "crash": ("worker_crash_rate", float),
-            "stall": ("worker_stall_rate", float),
-            "torn": ("journal_torn_rate", float),
-            "cachecorrupt": ("cache_corrupt_rate", float),
         }
         for clause in filter(None, (c.strip() for c in spec.split(","))):
             key, _, value = clause.partition("=")
@@ -303,26 +270,12 @@ class FaultPlan:
         return cls(**kwargs)
 
     def to_spec(self) -> str:
-        """Inverse of :meth:`from_spec` (forced events are not spellable).
-
-        Service-layer keys are emitted only when nonzero so specs written
-        by older builds of this library parse identically.
-        """
-        spec = (
+        """Inverse of :meth:`from_spec` (forced events and service-layer
+        rates are not spellable)."""
+        return (
             f"seed={self.seed},transfer={self.transfer_rate},"
-            f"codec={self.codec_rate},degrade={self.degrade_rate},"
-            f"oom={self.oom_failures}"
+            f"codec={self.codec_rate},oom={self.oom_failures}"
         )
-        extras = (
-            ("crash", self.worker_crash_rate),
-            ("stall", self.worker_stall_rate),
-            ("torn", self.journal_torn_rate),
-            ("cachecorrupt", self.cache_corrupt_rate),
-        )
-        for key, rate in extras:
-            if rate:
-                spec += f",{key}={rate}"
-        return spec
 
     def describe(self) -> str:
         parts = [f"seed {self.seed}"]
@@ -330,18 +283,8 @@ class FaultPlan:
             parts.append(f"transfer faults {self.transfer_rate:.1%}")
         if self.codec_rate:
             parts.append(f"codec faults {self.codec_rate:.1%}")
-        if self.degrade_rate:
-            parts.append(f"link degradation {self.degrade_rate:.1%}")
         if self.oom_failures:
             parts.append(f"{self.oom_failures} OOM alloc failure(s)")
-        if self.worker_crash_rate:
-            parts.append(f"worker crashes {self.worker_crash_rate:.1%}")
-        if self.worker_stall_rate:
-            parts.append(f"worker stalls {self.worker_stall_rate:.1%}")
-        if self.journal_torn_rate:
-            parts.append(f"torn journal writes {self.journal_torn_rate:.1%}")
-        if self.cache_corrupt_rate:
-            parts.append(f"cache corruption {self.cache_corrupt_rate:.1%}")
         if self.forced:
             parts.append(f"{len(self.forced)} forced event(s)")
         return ", ".join(parts) if len(parts) > 1 else f"seed {self.seed} (no faults)"

@@ -23,8 +23,8 @@ class RecoveryPolicy:
     Attributes:
         max_transfer_attempts: Delivery attempts per chunk transfer
             (1 = no retry; detection raises).
-        backoff_base: Seconds charged for the first retry wait in the
-            timed model.
+        backoff_base: Modelled seconds the batch service charges before a
+            job's first retry (``retry_backoff_seconds``; nothing sleeps).
         backoff_factor: Multiplier applied per further retry (exponential
             backoff).
         on_fault: ``"retry"`` recovers within the attempt budget;

@@ -292,11 +292,16 @@ class BatchService:
                 f"unknown version {spec.version!r} "
                 f"(choose from {sorted(SERVICE_VERSIONS)})"
             )
-        if spec.fault_plan and spec.backend != "statevector":
-            raise ServiceError(
-                "fault injection requires backend='statevector' (the "
-                "transfer guards live in the dense engine)"
-            )
+        if spec.fault_plan:
+            if spec.backend != "statevector":
+                raise ServiceError(
+                    "fault injection requires backend='statevector' (the "
+                    "transfer guards live in the dense engine)"
+                )
+            try:
+                FaultPlan.from_spec(spec.fault_plan)
+            except FaultInjectionError as error:
+                raise ServiceError(f"bad fault_plan: {error}") from error
         circuit = spec.build_circuit()
         version = SERVICE_VERSIONS[spec.version]
         run_spec = spec

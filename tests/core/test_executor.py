@@ -171,3 +171,17 @@ class TestValidation:
             executor.execute(qft_large, QGPU, compression_ratio=0.0)
         with pytest.raises(SimulationError):
             executor.execute(qft_large, QGPU, compression_ratio=1.5)
+
+    @pytest.mark.parametrize("option", ["fault_plan", "reliability_policy"])
+    def test_fault_options_retired(self, option: str) -> None:
+        # The timeline is fault-free; faults act on the functional engine.
+        with pytest.raises(TypeError):
+            TimedExecutor(Machine(PAPER_MACHINE), **{option: None})
+
+    def test_timed_records_carry_no_fault_fields(self, executor, qft_large) -> None:
+        result = executor.execute(qft_large, QGPU)
+        assert result.to_csv().splitlines()[0] == (
+            "index,name,seconds,cpu_seconds,gpu_seconds,transfer_seconds,"
+            "codec_seconds,bytes_h2d,bytes_d2h,live_fraction"
+        )
+        assert set(result.breakdown()) == {"cpu", "gpu", "transfer", "codec", "other"}

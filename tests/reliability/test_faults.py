@@ -32,14 +32,6 @@ class TestDeterminism:
         faults_b = [b.transfer_fault(g, 0, 0) is not None for g in range(200)]
         assert faults_a != faults_b
 
-    def test_link_degradation_replays(self) -> None:
-        plan = FaultPlan(seed=9, degrade_rate=0.5)
-        first = [plan.link_degradation(g) for g in range(50)]
-        second = [plan.link_degradation(g) for g in range(50)]
-        assert first == second
-        assert any(f > 1.0 for f in first)
-        assert all(f >= 1.0 for f in first)
-
 
 class TestRates:
     def test_zero_rates_inject_nothing(self) -> None:
@@ -49,7 +41,6 @@ class TestRates:
             plan.transfer_fault(g, t, 0) is None
             for g in range(100) for t in range(4)
         )
-        assert all(plan.link_degradation(g) == 1.0 for g in range(100))
         assert not plan.oom_fault(0)
 
     def test_rate_roughly_respected(self) -> None:
@@ -94,11 +85,10 @@ class TestForced:
 
 class TestSpec:
     def test_spec_round_trip(self) -> None:
-        plan = FaultPlan.from_spec("seed=7,transfer=0.05,codec=0.02,degrade=0.1,oom=1")
+        plan = FaultPlan.from_spec("seed=7,transfer=0.05,codec=0.02,oom=1")
         assert plan == FaultPlan.from_spec(plan.to_spec())
-        assert plan.seed == 7
-        assert plan.transfer_rate == 0.05
-        assert plan.oom_failures == 1
+        assert plan == FaultPlan(seed=7, transfer_rate=0.05, codec_rate=0.02,
+                                 oom_failures=1)
 
     def test_bad_spec_rejected(self) -> None:
         with pytest.raises(FaultInjectionError, match="clause"):
@@ -114,13 +104,12 @@ class TestSpec:
 class TestServiceLayerKinds:
     def test_service_queries_are_deterministic(self) -> None:
         a = FaultPlan(seed=4, worker_crash_rate=0.3, worker_stall_rate=0.3,
-                      journal_torn_rate=0.3, cache_corrupt_rate=0.3)
+                      cache_corrupt_rate=0.3)
         b = FaultPlan(seed=4, worker_crash_rate=0.3, worker_stall_rate=0.3,
-                      journal_torn_rate=0.3, cache_corrupt_rate=0.3)
+                      cache_corrupt_rate=0.3)
         for i in range(50):
             assert a.worker_crash(i, 1) == b.worker_crash(i, 1)
             assert a.worker_stall(i, 1) == b.worker_stall(i, 1)
-            assert a.journal_torn_write(i) == b.journal_torn_write(i)
             assert a.cache_corrupt(i) == b.cache_corrupt(i)
 
     def test_kinds_draw_independent_streams(self) -> None:
@@ -135,7 +124,6 @@ class TestServiceLayerKinds:
         plan = FaultPlan(seed=3)
         assert not any(plan.worker_crash(i, a)
                        for i in range(20) for a in range(3))
-        assert not any(plan.journal_torn_write(i) for i in range(20))
         assert not any(plan.cache_corrupt(i) for i in range(20))
 
     def test_forced_service_events_fire(self) -> None:
@@ -148,13 +136,17 @@ class TestServiceLayerKinds:
         assert plan.cache_corrupt(0)
         assert not plan.cache_corrupt(1)
 
-    def test_spec_round_trip_covers_service_rates(self) -> None:
-        plan = FaultPlan.from_spec(
-            "seed=9,crash=0.1,stall=0.2,torn=0.3,cachecorrupt=0.4"
-        )
-        assert plan.worker_crash_rate == 0.1
-        assert plan.worker_stall_rate == 0.2
-        assert plan.journal_torn_rate == 0.3
-        assert plan.cache_corrupt_rate == 0.4
-        again = FaultPlan.from_spec(plan.to_spec())
-        assert again == plan
+    @pytest.mark.parametrize(
+        "clause", ["crash=0.1", "stall=0.2", "cachecorrupt=0.4", "degrade=0.1", "torn=0.3"]
+    )
+    def test_spec_rejects_keys_no_run_reads(self, clause) -> None:
+        # Service-layer rates are set through the constructor only, and
+        # link degradation and torn writes are retired.
+        with pytest.raises(FaultInjectionError, match="keys: .'codec', 'oom', 'seed', 'transfer'."):
+            FaultPlan.from_spec(f"seed=9,{clause}")
+
+    def test_spec_spells_only_in_run_kinds(self) -> None:
+        plan = FaultPlan(seed=9, transfer_rate=0.1, worker_crash_rate=0.1,
+                         worker_stall_rate=0.2, cache_corrupt_rate=0.4)
+        assert plan.to_spec() == "seed=9,transfer=0.1,codec=0.0,oom=0"
+        assert plan.describe() == "seed 9, transfer faults 10.0%"

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
-from repro.errors import CheckpointError, IntegrityError, SimulationError
+from repro.core.versions import QGPU
+from repro.errors import (
+    CheckpointError,
+    FaultInjectionError,
+    IntegrityError,
+    SimulationError,
+)
 from repro.reliability import FaultPlan, RecoveryPolicy
 
 
@@ -75,6 +81,38 @@ class TestFaultedRunsAreBitExact:
         assert degraded.reliability.degraded_chunk_bits is not None
         assert degraded.state.chunk_bits < clean.state.chunk_bits
         np.testing.assert_array_equal(_bits(clean), _bits(degraded))
+
+    def test_oom_without_halving_keeps_chunk_bits(self) -> None:
+        circuit = get_circuit("bv", 8)
+        clean = QGpuSimulator().run(circuit)
+        kept = QGpuSimulator(
+            fault_plan=FaultPlan(seed=1, oom_failures=2),
+            reliability_policy=RecoveryPolicy(halve_chunk_on_oom=False),
+        ).run(circuit)
+        assert kept.reliability.faults == {"oom": 2}
+        assert kept.reliability.degraded_chunk_bits is None
+        assert kept.state.chunk_bits == clean.state.chunk_bits
+        np.testing.assert_array_equal(_bits(clean), _bits(kept))
+
+    def test_oom_past_the_allocation_budget_raises(self) -> None:
+        policy = RecoveryPolicy(max_alloc_attempts=3)
+        with pytest.raises(FaultInjectionError, match="allocation failed 3 times"):
+            QGpuSimulator(
+                fault_plan=FaultPlan(seed=1, oom_failures=3),
+                reliability_policy=policy,
+            ).run(get_circuit("bv", 8))
+
+    def test_repeated_codec_faults_disable_compression_and_stay_exact(self) -> None:
+        circuit = get_circuit("qft", 8)
+        clean = QGpuSimulator(version=QGPU).run(circuit)
+        faulty = QGpuSimulator(
+            version=QGPU,
+            fault_plan=FaultPlan(seed=6, codec_rate=0.1),
+            reliability_policy=RecoveryPolicy(codec_fault_limit=3),
+        ).run(circuit)
+        assert faulty.reliability.faults == {"decode": 3}
+        assert faulty.reliability.compression_disabled_at_gate is not None
+        np.testing.assert_array_equal(_bits(clean), _bits(faulty))
 
 
 class TestCheckpointResume:

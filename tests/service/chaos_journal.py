@@ -14,7 +14,6 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.errors import ServiceError
-from repro.reliability.faults import FaultPlan
 from repro.service.store import JobStore
 
 
@@ -32,14 +31,12 @@ class ChaosJournal(JobStore):
     """A :class:`JobStore` that can tear a write and kill the process.
 
     Overrides the store's documented ``_write_line`` override point.
-    Appends are numbered with a global ordinal (continued across
-    restarts via ``start_ordinal``) so the fault plan's torn-write
-    decisions replay deterministically over several incarnations.
+    Appends are numbered with a global ordinal, continued across restarts
+    via ``start_ordinal``, so a kill lands at the same record in every
+    replay of a scenario.
 
     Args:
         path: Journal file (shared across simulated restarts).
-        plan: Fault plan consulted for ``journal_torn_write`` at the
-            crash ordinal.
         fsync: Passed through to :class:`JobStore`.
         start_ordinal: First append's ordinal (the previous incarnation's
             final count).
@@ -54,20 +51,20 @@ class ChaosJournal(JobStore):
     def __init__(
         self,
         path: str | Path,
-        plan: FaultPlan,
         *,
         fsync: str = "never",
         start_ordinal: int = 0,
     ) -> None:
         super().__init__(path, fsync=fsync)
-        self.plan = plan
         self.append_ordinal = start_ordinal
         self.torn_writes = 0
         self._kill_at: int | None = None
+        self._tear = False
 
-    def arm_kill(self, after_appends: int) -> None:
+    def arm_kill(self, after_appends: int, torn: bool = False) -> None:
         """Schedule a :class:`SimulatedCrash` on the ``after_appends``-th
-        append from now (``1`` = the very next one).
+        append from now (``1`` = the very next one), tearing that record
+        first when ``torn``.
 
         Armed *after* manifest submission, so submitted jobs are durable
         as they would be in a real deployment.
@@ -77,13 +74,14 @@ class ChaosJournal(JobStore):
                 f"kill must be at least 1 append away, got {after_appends}"
             )
         self._kill_at = self.append_ordinal + after_appends - 1
+        self._tear = torn
 
     def _write_line(self, line: str) -> None:
         ordinal = self.append_ordinal
         self.append_ordinal += 1
         if self._kill_at is not None and ordinal >= self._kill_at:
             self._kill_at = None  # one crash per arming
-            if self.plan.journal_torn_write(ordinal):
+            if self._tear:
                 # The crash lands mid-write: a prefix of the record (no
                 # newline, no intact CRC) reaches the disk.
                 keep = max(

@@ -5,14 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ServiceError
-from repro.reliability.faults import FaultEvent, FaultKind, FaultPlan
 from repro.service.store import JobStore
 from tests.service.chaos_journal import ChaosJournal, SimulatedCrash
 
 
 class TestChaosJournal:
     def test_armed_kill_raises_at_the_scheduled_append(self, tmp_path):
-        journal = ChaosJournal(tmp_path / "j.jsonl", FaultPlan(seed=1))
+        journal = ChaosJournal(tmp_path / "j.jsonl")
         journal.append({"event": "error", "id": "x", "message": "one"})
         journal.arm_kill(2)
         journal.append({"event": "error", "id": "x", "message": "two"})
@@ -26,14 +25,9 @@ class TestChaosJournal:
 
     def test_torn_kill_leaves_a_recoverable_fragment(self, tmp_path):
         path = tmp_path / "j.jsonl"
-        # Force the torn write at the killing append (ordinal 1).
-        plan = FaultPlan(
-            seed=1,
-            forced=(FaultEvent(FaultKind.JOURNAL_TORN_WRITE, gate_index=1),),
-        )
-        journal = ChaosJournal(path, plan)
+        journal = ChaosJournal(path)
         journal.append({"event": "error", "id": "x", "message": "intact"})
-        journal.arm_kill(1)
+        journal.arm_kill(1, torn=True)
         with pytest.raises(SimulatedCrash):
             journal.append({"event": "error", "id": "x", "message": "torn"})
         assert journal.torn_writes == 1
@@ -48,15 +42,12 @@ class TestChaosJournal:
         assert path.read_bytes().endswith(b"\n")
 
     def test_ordinals_continue_across_incarnations(self, tmp_path):
-        plan = FaultPlan(seed=1)
-        first = ChaosJournal(tmp_path / "j.jsonl", plan)
+        first = ChaosJournal(tmp_path / "j.jsonl")
         first.append({"event": "error", "id": "x", "message": "a"})
-        second = ChaosJournal(
-            tmp_path / "j.jsonl", plan, start_ordinal=first.append_ordinal
-        )
+        second = ChaosJournal(tmp_path / "j.jsonl", start_ordinal=first.append_ordinal)
         assert second.append_ordinal == 1
 
     def test_kill_must_be_in_the_future(self, tmp_path):
-        journal = ChaosJournal(tmp_path / "j.jsonl", FaultPlan())
+        journal = ChaosJournal(tmp_path / "j.jsonl")
         with pytest.raises(ServiceError):
             journal.arm_kill(0)

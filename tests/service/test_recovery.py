@@ -87,7 +87,7 @@ def fault_free_digests() -> dict[str, str]:
 
 
 def test_uninterrupted_run_appends_the_drawn_range(tmp_path) -> None:
-    journal = ChaosJournal(tmp_path / "jobs.jsonl", FaultPlan())
+    journal = ChaosJournal(tmp_path / "jobs.jsonl")
     service = BatchService(workers=1, journal=journal)
     for spec in SPECS:
         service.submit(spec)
@@ -104,10 +104,7 @@ def _incarnation(
 ) -> BatchService:
     """One process lifetime; returns its service (and, in it, its journal)."""
     offset, torn = kill if kill is not None else (None, False)
-    journal = ChaosJournal(
-        path, FaultPlan(journal_torn_rate=1.0 if torn else 0.0),
-        start_ordinal=ordinal,
-    )
+    journal = ChaosJournal(path, start_ordinal=ordinal)
     service = BatchService(
         workers=workers,
         journal=journal,
@@ -119,7 +116,7 @@ def _incarnation(
         for spec in SPECS:
             service.submit(spec)
     if offset is not None:
-        journal.arm_kill(offset)
+        journal.arm_kill(offset, torn=torn)
     try:
         if ordinal > 0:
             service.recover()

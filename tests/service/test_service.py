@@ -300,6 +300,19 @@ class TestValidation:
         with pytest.raises(TypeError):
             BatchService(**retired)
 
+    @pytest.mark.parametrize(
+        "fault_plan", ["bogus=1", "transfer=lots", "degrade=0.1", "torn=0.5", "crash=0.1"]
+    )
+    def test_unparsable_fault_plan_rejected_before_journaling(
+        self, tmp_path, fault_plan: str
+    ) -> None:
+        journal = tmp_path / "jobs.jsonl"
+        svc = service(journal=journal)
+        with pytest.raises(ServiceError, match="bad fault_plan"):
+            svc.submit(JobSpec(family="bv", qubits=6, fault_plan=fault_plan))
+        assert svc.jobs == []
+        assert JobStore(journal).load() == {}
+
     def test_extension_versions_servable(self) -> None:
         svc = service()
         job = svc.submit(JobSpec(family="bv", qubits=6, version="Q-GPU+basis"))
@@ -492,7 +505,7 @@ class TestRunningCancellation:
 class TestRestartRecovery:
     def test_running_jobs_requeued_exactly_once_after_crash(self, tmp_path) -> None:
         path = tmp_path / "jobs.jsonl"
-        journal = ChaosJournal(path, FaultPlan(seed=1))
+        journal = ChaosJournal(path)
         svc = service(journal=journal)
         first = svc.submit(JobSpec(family="bv", qubits=6, shots=5))
         second = svc.submit(JobSpec(family="gs", qubits=5))
@@ -523,7 +536,7 @@ class TestRestartRecovery:
 
     def test_second_recover_does_not_requeue_again(self, tmp_path) -> None:
         path = tmp_path / "jobs.jsonl"
-        journal = ChaosJournal(path, FaultPlan(seed=1))
+        journal = ChaosJournal(path)
         svc = service(journal=journal)
         job = svc.submit(JobSpec(family="bv", qubits=6))
         journal.arm_kill(3)

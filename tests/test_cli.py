@@ -191,12 +191,30 @@ class TestReliability:
         out = capsys.readouterr().out
         assert "bit-identical to fault-free run: True" in out
         assert "final state bit-identical: True" in out
-        assert "modelled reliability overhead" in out
+        assert "modelled" not in out  # the timed model prices no faults
+
+    def test_reliability_default_plan_exercises_every_in_run_kind(
+        self, capsys
+    ) -> None:
+        assert main(["reliability", "--family", "qft", "--qubits", "8"]) == 0
+        out = capsys.readouterr().out
+        assert ("fault plan: seed 7, transfer faults 5.0%, codec faults 5.0%, "
+                "1 OOM alloc failure(s)") in out
+        assert "chunk size degraded" in out
+        assert "compression disabled" in out
+        assert out.count("bit-identical") == 2 and "False" not in out
 
     def test_reliability_rejects_bad_plan_spec(self, capsys) -> None:
         assert main(["reliability", "--family", "bv", "--qubits", "6",
                      "--fault-plan", "transfer=lots"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_simulate_rejects_the_retired_degrade_key(self, capsys) -> None:
+        assert main(["simulate", "--family", "bv", "--qubits", "6",
+                     "--fault-plan", "degrade=0.1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: bad fault-plan clause 'degrade=0.1'" in err
+        assert "keys: ['codec', 'oom', 'seed', 'transfer']" in err
 
     def test_checkpoint_every_without_path_errors(self, capsys) -> None:
         assert main(["simulate", "--family", "bv", "--qubits", "6",
@@ -333,12 +351,11 @@ class TestServeBatch:
     ) -> None:
         import json
 
-        from repro.reliability.faults import FaultPlan
         from repro.service import BatchService, JobSpec, JobState, JobStore
         from tests.service.chaos_journal import ChaosJournal, SimulatedCrash
 
         path = tmp_path / "jobs.jsonl"
-        crashed = ChaosJournal(path, FaultPlan())
+        crashed = ChaosJournal(path)
         service = BatchService(workers=1, journal=crashed)
         service.submit(JobSpec(family="gs", qubits=6))
         crashed.arm_kill(3)  # ADMITTED, RUNNING, then die before SUCCEEDED
@@ -395,10 +412,11 @@ class TestRetiredSurface:
             ["simulate", "--family", "bv", "--qubits", "4", "--memory"],
             ["transpile", "--family", "bv", "--qubits", "4", "--profile"],
             ["transpile", "--family", "bv", "--qubits", "4", "--memory"],
+            ["reliability", "--family", "bv", "--qubits", "4", "--machine", "p100"],
         ],
         ids=["chaos", "http-port", "http-host", "http-linger",
              "memory-budget-gb", "prom", "simulate-profile", "simulate-memory",
-             "transpile-profile", "transpile-memory"],
+             "transpile-profile", "transpile-memory", "reliability-machine"],
     )
     def test_parser_rejects(self, argv, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -460,6 +478,30 @@ class TestRetiredSurface:
             expected = "keep" if module in modules else "retired"
             assert decision.startswith(expected), (module, decision)
         assert {"profile", "hist"} <= set(decisions) - modules
+
+    def test_reliability_census_has_a_row_per_fault_kind(self) -> None:
+        import re
+
+        from repro.reliability import FaultKind
+
+        kinds = {kind.value for kind in FaultKind}
+        design = ROOT / "DESIGN.md"
+        section = design.read_text().split("### Reliability census", 1)[1]
+        section = section.split("\n#", 1)[0]
+        decisions: dict[str, str] = {}
+        for row in section.splitlines():
+            cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+            if len(cells) != 5:
+                continue
+            for name in re.findall(r"`([a-z_]+)`", cells[0]):
+                decisions.setdefault(name, cells[3])
+        assert kinds <= set(decisions), sorted(kinds - set(decisions))
+        for kind in kinds:
+            assert decisions[kind].startswith("keep"), (kind, decisions[kind])
+        retired = {"link_degrade", "journal_torn_write"}
+        assert not retired & kinds
+        for name in retired:
+            assert decisions.get(name, "").startswith("retired"), name
 
     @pytest.mark.parametrize(
         "doc",

@@ -236,10 +236,6 @@ TEST_SEAMS = {
     "repro.obs.log:JsonLogFormatter.format": (
         "logging.Formatter override; the logging framework calls it"
     ),
-    "repro.reliability.faults:FaultPlan.journal_torn_write": (
-        "service-level fault kind the crashing-journal test fake "
-        "(tests/service/chaos_journal.py) draws torn writes from"
-    ),
     "repro.reliability.faults:FaultPlan.to_spec": (
         "inverse of FaultPlan.from_spec; the spec parser is round-trip "
         "tested against it"
