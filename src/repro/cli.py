@@ -154,8 +154,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if result.precision_fallback:
             line += (f" (fell back from single: norm deviation "
                      f"{result.norm_deviation:.3g})")
-        if result.truncation_error:
-            line += f", truncation error {result.truncation_error:.3g}"
         print(line)
     if result.backend == "statevector":
         print(f"pruned chunk updates: {result.pruned_fraction:.1%}")
@@ -232,7 +230,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         machine=MACHINES[args.machine],
         backend=args.backend,
         precision=args.precision,
-        max_bond=args.max_bond,
     )
     backend_plan = plan_backend(circuit, config)
     print(backend_plan.render())
@@ -834,8 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--precision", default="auto",
                       choices=PRECISION_CHOICES,
                       help="precision knob fed to the planner")
-    plan.add_argument("--max-bond", type=int, default=64,
-                      help="MPS bond-dimension cap used for pricing")
     plan.set_defaults(fn=_cmd_plan)
 
     trace = sub.add_parser(

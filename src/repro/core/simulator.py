@@ -89,8 +89,6 @@ class FunctionalResult:
             single-precision dense run (None on double-only runs).
         precision_fallback: A single-precision run violated the norm
             bound and was deterministically re-run in complex128.
-        truncation_error: Accumulated MPS truncation error (0.0 for exact
-            backends).
     """
 
     state: ChunkedStateVector
@@ -104,7 +102,6 @@ class FunctionalResult:
     precision: str = "double"
     norm_deviation: float | None = None
     precision_fallback: bool = False
-    truncation_error: float = 0.0
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -192,8 +189,6 @@ class QGpuSimulator:
             by a norm-deviation bound with deterministic complex128
             fallback; it composes with every run mode), or ``"auto"``
             (planner decides).
-        max_bond: MPS bond cap for planned/forced MPS runs and the
-            planner's pricing.
         single_norm_bound: Norm-deviation ceiling accepted from a
             single-precision run before falling back to double.
 
@@ -214,7 +209,6 @@ class QGpuSimulator:
         tracer: Tracer | None = None,
         backend: str = "statevector",
         precision: str = "double",
-        max_bond: int = 64,
         single_norm_bound: float | None = None,
     ) -> None:
         # Imported lazily everywhere in this module: repro.planner imports
@@ -241,8 +235,6 @@ class QGpuSimulator:
                 f"unknown precision {precision!r} "
                 f"(choose from {sorted(PRECISION_CHOICES)})"
             )
-        if max_bond < 1:
-            raise SimulationError(f"max_bond must be >= 1, got {max_bond}")
         resolve_workers(workers, 1)  # validate eagerly; resolved per run
         self.machine = Machine(machine)
         self.machine_spec = machine
@@ -254,7 +246,6 @@ class QGpuSimulator:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.backend = backend
         self.precision = precision
-        self.max_bond = max_bond
         self.single_norm_bound = (
             single_norm_bound if single_norm_bound is not None else DEFAULT_NORM_BOUND
         )
@@ -350,7 +341,6 @@ class QGpuSimulator:
             machine=self.machine_spec,
             backend=self.backend,
             precision=self.precision,
-            max_bond=self.max_bond,
         )
         return plan_circuit(circuit, config)
 
@@ -457,11 +447,9 @@ class QGpuSimulator:
             with tracer.span(
                 f"backend:{backend}", stage="compute", circuit=circuit.name
             ):
-                execution = run_backend(
-                    circuit, backend, max_bond=self.max_bond
-                )
+                execution = run_backend(circuit, backend)
         else:
-            execution = run_backend(circuit, backend, max_bond=self.max_bond)
+            execution = run_backend(circuit, backend)
         if cancel is not None:
             cancel.poll()
         if tracer is not NULL_TRACER:
@@ -473,7 +461,6 @@ class QGpuSimulator:
             reliability=ReliabilityReport(),
             backend=backend,
             precision="double",
-            truncation_error=execution.truncation_error,
         )
 
     def _run(
@@ -738,7 +725,7 @@ class QGpuSimulator:
         else:
             from repro.planner import analyze_circuit, backend_cost
 
-            features = analyze_circuit(circuit, bond_cap=self.max_bond)
+            features = analyze_circuit(circuit)
             cost = backend_cost(features, backend, self.machine_spec, "double")
         if not cost.feasible:
             raise AnalysisError(

@@ -6,14 +6,13 @@ An ``n``-qubit state is a chain of rank-3 tensors ``A_k`` with shape
 matrix product ``A_0[b_0] A_1[b_1] ... A_{n-1}[b_{n-1}]`` (Equation 9).
 Bond dimensions grow with entanglement; each two-site gate is applied by
 merging neighbours, contracting the 4x4 unitary, and splitting back with an
-SVD truncated to ``max_bond`` singular values above ``cutoff``.
+SVD that drops only numerically-zero singular values.
 
 Non-adjacent two-qubit gates route through an explicit swap network, and
 three-qubit library gates decompose first (``repro.circuits.passes``), so
-the full benchmark gate set is supported.  With ``max_bond=None`` (no
-truncation) the engine is exact and the test suite checks it bit-close
-against the dense simulator; with a finite bond it reproduces the
-compress-to-``O(n d^2)`` behaviour the paper describes.
+the full benchmark gate set is supported.  The engine is exact (the tests
+check it against the dense simulator): a circuit whose tensors outgrow
+:data:`MPS_BYTE_LIMIT` raises :class:`~repro.errors.SimulationError`.
 """
 
 from __future__ import annotations
@@ -24,6 +23,16 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.passes import decompose
 from repro.errors import SimulationError
+from repro.statevector.chunks import DENSE_QUBIT_LIMIT
+
+#: Largest total tensor size the engine holds: the dense engine's largest
+#: complex128 state (1 GiB).  Past it an MPS stores more than the state
+#: it stands in for, so the run refuses instead.
+MPS_BYTE_LIMIT = 16 << DENSE_QUBIT_LIMIT
+
+#: Singular values at or below this fraction of the largest one are
+#: numerically zero and leave the split; every other one is kept.
+RELATIVE_CUTOFF = 1e-12
 
 
 class MpsState:
@@ -32,27 +41,16 @@ class MpsState:
 
     Args:
         num_qubits: Chain length.
-        max_bond: Largest bond dimension kept by SVD truncation
-            (``None`` = unbounded, exact simulation).
-        cutoff: Singular values below this are always discarded.
 
     Attributes:
         tensors: ``tensors[k]`` has shape ``(chi_k, 2, chi_{k+1})``.
-        truncation_error: Accumulated sum of discarded squared singular
-            values (0 for exact runs).
     """
 
-    def __init__(
-        self, num_qubits: int, max_bond: int | None = None, cutoff: float = 1e-12
-    ) -> None:
+    def __init__(self, num_qubits: int) -> None:
         if num_qubits <= 0:
             raise SimulationError("num_qubits must be positive")
-        if max_bond is not None and max_bond < 1:
-            raise SimulationError("max_bond must be >= 1")
         self.num_qubits = num_qubits
-        self.max_bond = max_bond
-        self.cutoff = cutoff
-        self.truncation_error = 0.0
+        self._gates_applied = 0
         self.tensors: list[np.ndarray] = []
         for _ in range(num_qubits):
             tensor = np.zeros((1, 2, 1), dtype=np.complex128)
@@ -112,15 +110,17 @@ class MpsState:
         """Apply one library gate (decomposing 3-qubit gates first)."""
         if any(q >= self.num_qubits for q in gate.qubits):
             raise SimulationError(f"gate {gate} exceeds register width")
-        if gate.num_qubits == 1:
-            self._apply_single(gate.matrix(), gate.qubits[0])
-        elif gate.num_qubits == 2:
-            self._apply_two(gate)
-        else:
+        lowered = [gate]
+        if gate.num_qubits > 2:
             shim = QuantumCircuit(self.num_qubits)
             shim.append(gate)
-            for lowered in decompose(shim):
-                self.apply(lowered)
+            lowered = list(decompose(shim))
+        for part in lowered:
+            if part.num_qubits == 1:
+                self._apply_single(part.matrix(), part.qubits[0])
+            else:
+                self._apply_two(part)
+        self._gates_applied += 1
         return self
 
     def run(self, circuit: QuantumCircuit) -> "MpsState":
@@ -177,21 +177,36 @@ class MpsState:
 
         theta = np.einsum("abcd,lcdr->labr", gate_nd, theta, optimize=True)
         merged = theta.reshape(chi_l * 2, 2 * chi_r)
-        u, s, vh = np.linalg.svd(merged, full_matrices=False)
+        u, s, vh = self._svd(merged, site)
 
-        keep = s > self.cutoff
-        if self.max_bond is not None:
-            keep &= np.arange(s.size) < self.max_bond
-        kept = max(1, int(keep.sum()))
-        discarded = s[kept:] if kept < s.size else s[:0]
-        self.truncation_error += float(np.sum(discarded**2))
+        kept = max(1, int(np.count_nonzero(s > RELATIVE_CUTOFF * s[0])))
+        self.tensors[site] = u[:, :kept].reshape(chi_l, 2, kept)
+        self.tensors[site + 1] = (s[:kept, None] * vh[:kept]).reshape(kept, 2, chi_r)
+        total = sum(tensor.nbytes for tensor in self.tensors)
+        if total > MPS_BYTE_LIMIT:
+            raise SimulationError(
+                f"MPS refuses at gate {self._gates_applied}: bond {kept} between "
+                f"sites {site} and {site + 1} brings the tensors to {total} bytes, "
+                f"past the {MPS_BYTE_LIMIT}-byte limit (the dense engine's largest state)"
+            )
 
-        u = u[:, :kept]
-        s = s[:kept]
-        vh = vh[:kept, :]
-        self.tensors[site] = u.reshape(chi_l, 2, kept)
-        self.tensors[site + 1] = (s[:, None] * vh).reshape(kept, 2, chi_r)
-
+    def _svd(self, merged: np.ndarray, site: int) -> tuple[np.ndarray, ...]:
+        """Thin SVD of ``merged``, retried once on ``merged^H = V S U^H``:
+        LAPACK can fail to converge on a finite matrix with degenerate
+        singular values whose conjugate transpose converges."""
+        try:
+            return np.linalg.svd(merged, full_matrices=False)
+        except np.linalg.LinAlgError:
+            pass
+        try:
+            v, s, uh = np.linalg.svd(merged.conj().T, full_matrices=False)
+        except np.linalg.LinAlgError as error:
+            raise SimulationError(
+                f"MPS SVD did not converge at gate {self._gates_applied} "
+                f"(sites {site} and {site + 1}, {merged.shape[0]}x"
+                f"{merged.shape[1]} matrix)"
+            ) from error
+        return uh.conj().T, s, v.conj().T
 
     # -- observables -------------------------------------------------------
 
@@ -288,8 +303,11 @@ class MpsState:
         return counts
 
 
-def simulate_mps(
-    circuit: QuantumCircuit, max_bond: int | None = None, cutoff: float = 1e-12
-) -> MpsState:
-    """Run ``circuit`` from ``|0...0>`` on the MPS engine."""
-    return MpsState(circuit.num_qubits, max_bond=max_bond, cutoff=cutoff).run(circuit)
+def simulate_mps(circuit: QuantumCircuit) -> MpsState:
+    """Run ``circuit`` from ``|0...0>`` on the MPS engine, exactly.
+
+    Raises:
+        SimulationError: When the tensors outgrow :data:`MPS_BYTE_LIMIT`
+            or an SVD fails to converge.
+    """
+    return MpsState(circuit.num_qubits).run(circuit)

@@ -22,15 +22,13 @@ from dataclasses import dataclass
 
 from repro.errors import AnalysisError
 from repro.hardware.specs import MachineSpec, PAPER_MACHINE
+from repro.mps.state import MPS_BYTE_LIMIT
 from repro.planner.features import CircuitFeatures
+from repro.statevector.chunks import DENSE_QUBIT_LIMIT
 
 #: Backends the planner knows how to price, in deterministic tie-break
 #: order (earlier wins a tie on estimated seconds).
 BACKENDS: tuple[str, ...] = ("stabilizer", "sparse", "statevector", "mps")
-
-#: Functional width ceiling of the dense chunked engine
-#: (:class:`~repro.statevector.chunks.ChunkedStateVector`).
-DENSE_QUBIT_LIMIT = 26
 
 #: Bytes per complex amplitude at double / single precision.
 AMP_BYTES_DOUBLE = 16
@@ -85,17 +83,14 @@ class BackendCost:
         seconds: Calibrated modelled host seconds (``inf`` when
             infeasible).
         memory_bytes: Estimated peak resident bytes.
-        approximate: A feasible run may not be exact (MPS whose bond
-            proxy exceeds the cap: truncation possible).
-        reason: Why the backend is infeasible / approximate ("" when
-            exact and feasible).
+        reason: Why the backend is infeasible, or what its price rests
+            on ("" when nothing needs saying).
     """
 
     backend: str
     feasible: bool
     seconds: float
     memory_bytes: float
-    approximate: bool = False
     reason: str = ""
 
 
@@ -181,30 +176,21 @@ def _sparse_cost(features: CircuitFeatures, machine: MachineSpec) -> BackendCost
     return BackendCost("sparse", True, seconds, memory, reason=reason)
 
 
-def _mps_cost(features: CircuitFeatures, machine: MachineSpec) -> BackendCost:
+def _mps_cost(features: CircuitFeatures) -> BackendCost:
+    """Always feasible: the engine itself refuses past ``MPS_BYTE_LIMIT``.
+    The uncapped proxy can read far above the exact bond (``qft_30``: 2^15
+    against 1), so the seconds are a ceiling; the memory is the proxy's,
+    capped at the engine's limit."""
     n = features.num_qubits
     chi = features.bond_estimate
     # Site tensors plus merged-theta and SVD work buffers.
-    memory = float(3 * n * 2 * chi * chi * AMP_BYTES_DOUBLE)
-    if memory > machine.host_memory_bytes:
-        return BackendCost(
-            "mps", False, float("inf"), memory,
-            reason=f"bond {chi} tensors exceed host memory",
-        )
+    memory = float(min(3 * n * 2 * chi * chi * AMP_BYTES_DOUBLE, MPS_BYTE_LIMIT))
     c = CALIBRATION["mps"]
     seconds = (
         features.num_gates * c["per_gate_seconds"]
         + features.mps_ops / c["element_ops_per_second"]
     )
-    reason = (
-        f"bond proxy exceeds cap {features.bond_cap}: result may truncate"
-        if features.mps_truncates
-        else ""
-    )
-    return BackendCost(
-        "mps", True, seconds, memory,
-        approximate=features.mps_truncates, reason=reason,
-    )
+    return BackendCost("mps", True, seconds, memory)
 
 
 def backend_cost(
@@ -225,7 +211,7 @@ def backend_cost(
     if backend == "sparse":
         return _sparse_cost(features, machine)
     if backend == "mps":
-        return _mps_cost(features, machine)
+        return _mps_cost(features)
     raise AnalysisError(
         f"unknown backend {backend!r} (choose from {sorted(BACKENDS)})"
     )

@@ -37,14 +37,11 @@ class BackendExecution:
         backend: ``"stabilizer"``, ``"sparse"`` or ``"mps"``.
         num_qubits: Register width.
         state: The engine's native final state.
-        truncation_error: Accumulated MPS truncation error (0.0 for the
-            exact backends).
     """
 
     backend: str
     num_qubits: int
     state: Any = field(repr=False)
-    truncation_error: float = 0.0
 
     def to_dense(self) -> np.ndarray:
         """The full ``2^n`` complex128 vector, where representable.
@@ -121,13 +118,7 @@ class BackendExecution:
         return total
 
 
-def run_backend(
-    circuit: QuantumCircuit,
-    backend: str,
-    *,
-    max_bond: int | None = 64,
-    cutoff: float = 1e-12,
-) -> BackendExecution:
+def run_backend(circuit: QuantumCircuit, backend: str) -> BackendExecution:
     """Execute ``circuit`` on one non-dense backend.
 
     Raises:
@@ -135,7 +126,8 @@ def run_backend(
             :class:`~repro.core.simulator.QGpuSimulator`) or an unknown
             name.
         SimulationError: From the engine itself (e.g. non-Clifford gates
-            routed to the tableau).
+            routed to the tableau, or an MPS whose tensors outgrow
+            :data:`~repro.mps.state.MPS_BYTE_LIMIT`).
     """
     if backend == "stabilizer":
         state: StabilizerState = simulate_clifford(circuit)
@@ -144,11 +136,8 @@ def run_backend(
         sparse: SparseState = simulate_sparse(circuit)
         return BackendExecution("sparse", circuit.num_qubits, sparse)
     if backend == "mps":
-        mps: MpsState = simulate_mps(circuit, max_bond=max_bond, cutoff=cutoff)
-        return BackendExecution(
-            "mps", circuit.num_qubits, mps,
-            truncation_error=mps.truncation_error,
-        )
+        mps: MpsState = simulate_mps(circuit)
+        return BackendExecution("mps", circuit.num_qubits, mps)
     if backend == "statevector":
         raise AnalysisError(
             "the dense chunked engine runs through QGpuSimulator, "

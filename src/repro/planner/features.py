@@ -25,6 +25,7 @@ Feature groups (see ``docs/planner.md`` for the full definitions):
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from repro.circuits.circuit import QuantumCircuit
@@ -89,13 +90,9 @@ class CircuitFeatures:
             (diagonal runs, overlapping 1q/2q chains) come in well below.
         bond_estimate: Peak per-cut bond-growth proxy, capped at the
             exact-representability ceiling ``2^min(cut+1, n-1-cut)``.
-        mps_ops: Work integral for the MPS backend at ``bond_cap``:
+        mps_ops: Work integral for the MPS backend:
             ``sum((2*chi)^3)`` over (routed) two-qubit applications plus a
-            per-gate term, with ``chi`` the proxy bond at that point
-            capped at ``bond_cap``.
-        bond_cap: The cap :func:`analyze_circuit` priced ``mps_ops`` at.
-        mps_truncates: The uncapped proxy exceeds ``bond_cap`` somewhere:
-            an MPS run at this cap may truncate (approximate result).
+            per-gate term, with ``chi`` the proxy bond at that point.
     """
 
     name: str
@@ -112,8 +109,6 @@ class CircuitFeatures:
     fused_sweeps: int
     bond_estimate: int
     mps_ops: float
-    bond_cap: int
-    mps_truncates: bool
 
 
 def _sparse_probe(circuit: QuantumCircuit) -> tuple[bool, int, float]:
@@ -140,31 +135,26 @@ def _sparse_probe(circuit: QuantumCircuit) -> tuple[bool, int, float]:
     return True, peak, ops
 
 
-def _bond_growth(
-    circuit: QuantumCircuit, bond_cap: int
-) -> tuple[int, float, bool]:
+def _bond_growth(circuit: QuantumCircuit) -> tuple[int, float]:
     """Entanglement-growth proxy: per-cut Schmidt-rank doubling.
 
     Models the chain's ``n - 1`` cuts; a ``k``-qubit gate spanning sites
     ``[a, b]`` can multiply the rank across every cut in ``[a, b)`` by at
     most ``2^(k-1)``, and no cut can exceed its exact ceiling
-    ``2^min(cut+1, n-1-cut)``.  Returns ``(peak_bond_capped, mps_ops,
-    truncates)`` where ``mps_ops`` integrates ``(2 * chi)^3`` SVD work
-    (with routing swaps for non-adjacent gates) at bonds capped to
-    ``bond_cap``, and ``truncates`` records whether the *uncapped* proxy
-    ever exceeded the cap.
+    ``2^min(cut+1, n-1-cut)``.  Returns ``(peak_bond, mps_ops)`` where
+    ``mps_ops`` integrates ``(2 * chi)^3`` SVD work (with routing swaps
+    for non-adjacent gates) at the proxy bond, summed in integers and
+    saturated at the largest float (wide registers' ceilings exceed it).
     """
     n = circuit.num_qubits
     if n < 2:
-        return 1, float(len(circuit)), False
+        return 1, float(len(circuit))
     cuts = [1] * (n - 1)
     ceilings = [1 << min(c + 1, n - 1 - c) for c in range(n - 1)]
-    ops = 0.0
-    truncates = False
-    peak = 1
+    ops = 0
     for gate in circuit:
         if gate.num_qubits == 1:
-            ops += 1.0
+            ops += 1
             continue
         low, high = min(gate.qubits), max(gate.qubits)
         factor = 1 << (gate.num_qubits - 1)
@@ -172,33 +162,24 @@ def _bond_growth(
         # Swap-routing walks the far qubit adjacent: 2*(span-1) swaps plus
         # the gate itself, each an SVD at the local bond.
         applications = 2 * (span - 1) + 1
-        local = max(cuts[low : high] or [1])
-        chi = min(local, bond_cap)
-        ops += applications * float(2 * chi) ** 3
+        chi = max(cuts[low : high] or [1])
+        ops += applications * (2 * chi) ** 3
         for cut in range(low, high):
-            grown = min(cuts[cut] * factor, ceilings[cut])
-            if grown > bond_cap:
-                truncates = True
-            cuts[cut] = grown
-            peak = max(peak, min(grown, bond_cap))
-    return peak, ops, truncates
+            cuts[cut] = min(cuts[cut] * factor, ceilings[cut])
+    return max(cuts), float(min(ops, sys.float_info.max))
 
 
-def analyze_circuit(
-    circuit: QuantumCircuit, *, bond_cap: int = 64
-) -> CircuitFeatures:
+def analyze_circuit(circuit: QuantumCircuit) -> CircuitFeatures:
     """Extract the planner's static feature vector from ``circuit``.
 
     Deterministic: no randomness, no timing, no host probing - two calls
-    with the same circuit and knobs return equal features.
+    with the same circuit return equal features.
 
     Raises:
-        AnalysisError: On an empty register or a nonsensical bond cap.
+        AnalysisError: On an empty register.
     """
     if circuit.num_qubits <= 0:
         raise AnalysisError("cannot analyze a circuit with no qubits")
-    if bond_cap < 1:
-        raise AnalysisError(f"bond_cap must be >= 1, got {bond_cap}")
     n = circuit.num_qubits
     num_gates = len(circuit)
     clifford_gates = sum(1 for gate in circuit if gate.name in CLIFFORD_GATES)
@@ -214,7 +195,7 @@ def analyze_circuit(
     support_bound = min(tracker.live_amplitudes, 1 << n)
 
     completed, probe_peak, probe_ops = _sparse_probe(circuit)
-    bond_peak, mps_ops, truncates = _bond_growth(circuit, bond_cap)
+    bond_peak, mps_ops = _bond_growth(circuit)
 
     # Imported lazily: the fusion pass lives in the statevector package,
     # which the planner otherwise never touches at analysis time.
@@ -237,6 +218,4 @@ def analyze_circuit(
         fused_sweeps=fused_sweeps,
         bond_estimate=bond_peak,
         mps_ops=mps_ops,
-        bond_cap=bond_cap,
-        mps_truncates=truncates,
     )

@@ -32,9 +32,9 @@ BACKEND_CHOICES: tuple[str, ...] = ("auto",) + BACKENDS
 #: Valid values for the precision knob.
 PRECISION_CHOICES: tuple[str, ...] = ("auto", "single", "double")
 
-#: The ``auto`` candidate pool, in deterministic tie-break order.  Every
-#: member runs exactly; MPS (which may truncate) is reachable only by
-#: forcing it.
+#: The ``auto`` candidate pool, in deterministic tie-break order.  MPS,
+#: never the cheapest exact backend at the census widths, is reachable
+#: only by forcing it.
 AUTO_BACKENDS: tuple[str, ...] = ("stabilizer", "sparse", "statevector")
 
 #: ``precision="auto"`` picks the complex64 fast path for dense runs up
@@ -53,13 +53,11 @@ class PlannerConfig:
         precision: ``"auto"``, ``"single"`` or ``"double"``.  ``single``
             is the dense engine's complex64 fast path; requesting it
             restricts auto-selection to the statevector backend.
-        max_bond: MPS bond cap the plan prices (and an MPS run uses).
     """
 
     machine: MachineSpec = PAPER_MACHINE
     backend: str = "auto"
     precision: str = "auto"
-    max_bond: int = 64
 
 
 DEFAULT_CONFIG = PlannerConfig()
@@ -79,8 +77,6 @@ class BackendPlan:
             resolved precision.
         estimated_bytes: Modelled peak resident bytes of the chosen
             backend.
-        approximate: The chosen run may truncate (a forced MPS run over
-            its cap).
         rationale: Stable human-readable justification.
         costs: Every candidate's price, in candidate order.
         features: The static features the decision was made from.
@@ -93,7 +89,6 @@ class BackendPlan:
     precision: str
     estimated_seconds: float
     estimated_bytes: float
-    approximate: bool
     rationale: str
     costs: tuple[BackendCost, ...] = field(repr=False)
     features: CircuitFeatures = field(repr=False)
@@ -125,12 +120,10 @@ class BackendPlan:
         ]
         for cost in self.costs:
             seconds = "-" if not cost.feasible else f"{cost.seconds:.6g}"
-            note = cost.reason
-            if cost.approximate and cost.feasible:
-                note = f"approximate: {note}" if note else "approximate"
             lines.append(
                 f"  {cost.backend:<12} {'yes' if cost.feasible else 'no':<9} "
-                f"{seconds:>12} {_format_bytes(cost.memory_bytes):>12}  {note}"
+                f"{seconds:>12} {_format_bytes(cost.memory_bytes):>12}  "
+                f"{cost.reason}"
             )
         lines.append(f"  -> chosen: {self.backend}, precision {self.precision}")
         lines.append(f"  rationale: {self.rationale}")
@@ -230,7 +223,7 @@ def plan(
             f"unknown precision {config.precision!r} "
             f"(choose from {sorted(PRECISION_CHOICES)})"
         )
-    features = analyze_circuit(circuit, bond_cap=config.max_bond)
+    features = analyze_circuit(circuit)
     costs = all_backend_costs(features, config.machine, "double", AUTO_BACKENDS)
 
     forced = config.backend != "auto"
@@ -276,8 +269,6 @@ def plan(
     rationale = _selection_rationale(chosen, pool, features, forced)
     if precision == "single":
         rationale += "; complex64 fast path, norm-guarded"
-    if chosen.approximate:
-        rationale += f"; approximate ({chosen.reason})"
 
     return BackendPlan(
         circuit_name=circuit.name,
@@ -287,7 +278,6 @@ def plan(
         precision=precision,
         estimated_seconds=chosen.seconds,
         estimated_bytes=chosen.memory_bytes,
-        approximate=chosen.approximate,
         rationale=rationale,
         costs=costs,
         features=features,

@@ -55,6 +55,12 @@ class FaultKind(str, Enum):
     CACHE_CORRUPT = "cache_corrupt"
 
 
+#: The kinds injected inside a simulation run; the rest act on the batch
+#: service around it.
+_IN_RUN_KINDS = frozenset(
+    (FaultKind.BIT_FLIP, FaultKind.TRUNCATION, FaultKind.DROP, FaultKind.DECODE, FaultKind.OOM)
+)
+
 #: Conditional kind split for a transfer fault: mostly silent corruption
 #: (the dangerous case CRC exists for), some truncations and full drops.
 _TRANSFER_KIND_WEIGHTS = (
@@ -225,15 +231,13 @@ class FaultPlan:
 
     @property
     def active(self) -> bool:
-        """True when this plan can ever inject anything."""
+        """True when this plan can inject a fault into a simulation run
+        (the service-layer rates and events never act inside one)."""
         return bool(
             self.transfer_rate
             or self.codec_rate
             or self.oom_failures
-            or self.worker_crash_rate
-            or self.worker_stall_rate
-            or self.cache_corrupt_rate
-            or self.forced
+            or any(event.kind in _IN_RUN_KINDS for event in self.forced)
         )
 
     # -- spec parsing ------------------------------------------------------

@@ -226,8 +226,6 @@ class JobResult:
             ``"double"``).
         precision_fallback: The single-precision attempt violated the
             norm bound and the result came from the complex128 re-run.
-        truncation_error: Accumulated MPS truncation error (0.0 for
-            exact backends).
 
     The simulator-level fields ride along so the service can fold them
     into its metrics export when the job completes
@@ -247,7 +245,6 @@ class JobResult:
     backend: str = "statevector"
     precision: str = "double"
     precision_fallback: bool = False
-    truncation_error: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -263,7 +260,6 @@ class JobResult:
             "backend": self.backend,
             "precision": self.precision,
             "precision_fallback": self.precision_fallback,
-            "truncation_error": self.truncation_error,
         }
 
     @classmethod
@@ -281,7 +277,6 @@ class JobResult:
             backend=data.get("backend", "statevector"),
             precision=data.get("precision", "double"),
             precision_fallback=data.get("precision_fallback", False),
-            truncation_error=data.get("truncation_error", 0.0),
         )
 
 

@@ -167,7 +167,6 @@ def execute_job(
         backend=outcome.backend,
         precision=outcome.precision,
         precision_fallback=outcome.precision_fallback,
-        truncation_error=outcome.truncation_error,
     )
 
 

@@ -45,6 +45,9 @@ from repro.statevector.measure import _sample_blocks
 from repro.statevector.parallel import ParallelChunkEngine
 from repro.statevector.subcube import LiveSubcube, outside_mask
 
+#: Widest register the functional chunked engine runs (a 1 GiB complex128
+#: state); the planner prices it and the MPS engine sizes its limit by it.
+DENSE_QUBIT_LIMIT = 26
 
 def chunk_pair_groups(
     num_qubits: int, chunk_bits: int, gate_qubits: tuple[int, ...]
@@ -111,9 +114,10 @@ class ChunkedStateVector:
             raise SimulationError(
                 f"chunk_bits must be in (0, {num_qubits}], got {chunk_bits}"
             )
-        if num_qubits > 26:
+        if num_qubits > DENSE_QUBIT_LIMIT:
             raise SimulationError(
-                "functional chunked simulation is limited to 26 qubits"
+                f"functional chunked simulation is limited to "
+                f"{DENSE_QUBIT_LIMIT} qubits"
             )
         resolved = np.dtype(dtype)
         if resolved not in (np.dtype(np.complex64), np.dtype(np.complex128)):

@@ -22,6 +22,7 @@ from repro.core.versions import ALL_VERSIONS, BASELINE, PRUNING, QGPU, REORDER
 from repro.errors import SimulationError
 from repro.hardware.specs import PAPER_MACHINE, V100_MACHINE
 from repro.planner import analyze_circuit, backend_cost
+from repro.reliability import FaultPlan
 from repro.stabilizer import is_clifford_circuit
 from repro.statevector.fusion import fuse_slabs, slab_members
 from repro.statevector.measure import sample_counts
@@ -249,7 +250,7 @@ class TestEstimateCostPlansOnce:
         if routed == "statevector":
             expected = sim.estimate(circuit, compression_ratio=1.0).total_seconds
         else:
-            features = analyze_circuit(circuit, bond_cap=sim.max_bond)
+            features = analyze_circuit(circuit)
             expected = backend_cost(
                 features, routed, sim.machine_spec, "double"
             ).seconds
@@ -274,8 +275,56 @@ class TestEstimateCostPlansOnce:
         # (non-dense backends ignore precision) and so it must price.
         circuit = get_circuit("gs", 10)
         sim = QGpuSimulator(backend="sparse", precision="single")
-        features = analyze_circuit(circuit, bond_cap=sim.max_bond)
+        features = analyze_circuit(circuit)
         monkeypatch.setattr(sim, "plan", None)
         assert sim.estimate_cost(circuit) == backend_cost(
             features, "sparse", sim.machine_spec, "double"
         ).seconds
+
+
+class TestRefusals:
+    """Every typed refusal of the simulator facade, run once."""
+
+    def test_unknown_backend(self) -> None:
+        with pytest.raises(SimulationError, match="unknown backend 'gpu'"):
+            QGpuSimulator(backend="gpu")
+
+    def test_unknown_precision(self) -> None:
+        with pytest.raises(SimulationError, match="unknown precision 'quad'"):
+            QGpuSimulator(precision="quad")
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"checkpoint_every": 2}, {"resume_from": "run.qgck"}],
+        ids=["checkpoint", "resume"],
+    )
+    def test_nondense_refuses_checkpoint_and_resume(self, kwargs) -> None:
+        with pytest.raises(
+            SimulationError,
+            match="backend 'sparse' does not support checkpoint/resume",
+        ):
+            QGpuSimulator(backend="sparse").run(get_circuit("w", 6), **kwargs)
+
+    def test_nondense_refuses_stop_after(self) -> None:
+        with pytest.raises(
+            SimulationError,
+            match=r"backend 'mps' does not support partial runs \(stop_after\)",
+        ):
+            QGpuSimulator(backend="mps").run(get_circuit("qft", 6), stop_after=3)
+
+    def test_nondense_refuses_an_active_fault_plan(self) -> None:
+        simulator = QGpuSimulator(
+            backend="stabilizer", fault_plan=FaultPlan(seed=1, transfer_rate=0.1)
+        )
+        with pytest.raises(
+            SimulationError,
+            match="backend 'stabilizer' does not support fault injection",
+        ):
+            simulator.run(get_circuit("bv", 6))
+
+    def test_forced_mps_refuses_past_its_byte_limit(self, monkeypatch) -> None:
+        monkeypatch.setattr("repro.mps.state.MPS_BYTE_LIMIT", 1 << 20)
+        with pytest.raises(
+            SimulationError, match=r"bond \d+ .* \d+ bytes, past the 1048576-byte"
+        ):
+            QGpuSimulator(backend="mps").run(get_circuit("hchain", 16))

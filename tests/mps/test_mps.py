@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -88,31 +90,6 @@ class TestBondDimensions:
         assert stored < 200  # vs 4096 dense amplitudes
 
 
-class TestTruncation:
-    def test_low_entanglement_survives_truncation(self) -> None:
-        circuit = ghz(10)
-        truncated = simulate_mps(circuit, max_bond=2)
-        fidelity = abs(np.vdot(truncated.to_dense(), simulate(circuit).amplitudes)) ** 2
-        assert fidelity == pytest.approx(1.0, abs=1e-9)
-        assert truncated.truncation_error == pytest.approx(0.0, abs=1e-12)
-
-    def test_high_entanglement_truncation_tracked(self) -> None:
-        circuit = get_circuit("rqc", 10, depth=8)
-        truncated = simulate_mps(circuit, max_bond=2)
-        assert truncated.truncation_error > 1e-6
-        assert truncated.max_bond_dimension() <= 2
-
-    def test_wider_bond_never_worse(self) -> None:
-        circuit = get_circuit("qaoa", 8)
-        dense = simulate(circuit).amplitudes
-        fidelities = []
-        for bond in (1, 2, 4, 8):
-            approx = simulate_mps(circuit, max_bond=bond).to_dense()
-            approx = approx / np.linalg.norm(approx)
-            fidelities.append(abs(np.vdot(approx, dense)) ** 2)
-        assert all(a <= b + 1e-9 for a, b in zip(fidelities, fidelities[1:]))
-
-
 class TestSampling:
     def test_ghz_samples_only_two_outcomes(self) -> None:
         rng = np.random.default_rng(0)
@@ -152,8 +129,6 @@ class TestValidation:
     def test_bad_parameters(self) -> None:
         with pytest.raises(SimulationError):
             MpsState(0)
-        with pytest.raises(SimulationError):
-            MpsState(2, max_bond=0)
 
     def test_width_mismatch(self) -> None:
         with pytest.raises(SimulationError):
@@ -166,3 +141,47 @@ class TestValidation:
     def test_amplitude_bounds(self) -> None:
         with pytest.raises(SimulationError):
             MpsState(2).amplitude(4)
+
+
+class TestExactOrRefuse:
+    def test_memory_guard_names_gate_bond_and_bytes(self, monkeypatch) -> None:
+        monkeypatch.setattr("repro.mps.state.MPS_BYTE_LIMIT", 1 << 20)
+        with pytest.raises(SimulationError) as error:
+            simulate_mps(get_circuit("hchain", 16))
+        message = str(error.value)
+        assert re.search(r"at gate \d+: bond \d+ between sites \d+ and \d+", message)
+        assert re.search(r"to \d+ bytes, past the 1048576-byte limit", message)
+
+    def test_limit_is_the_dense_engines_largest_state(self) -> None:
+        from repro.mps.state import MPS_BYTE_LIMIT
+        from repro.planner import DENSE_QUBIT_LIMIT
+
+        assert MPS_BYTE_LIMIT == 16 * 2**DENSE_QUBIT_LIMIT == 1 << 30
+
+    def test_svd_retried_once_on_the_conjugate_transpose(self, monkeypatch) -> None:
+        circuit = get_circuit("qaoa", 8)
+        svd = np.linalg.svd
+        calls = []
+
+        def fails_once(matrix, *args, **kwargs):
+            calls.append(matrix)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", fails_once)
+        state = simulate_mps(circuit)
+        monkeypatch.undo()
+        # The retry decomposed the conjugate transpose of the failed matrix.
+        np.testing.assert_array_equal(calls[1], calls[0].conj().T)
+        np.testing.assert_allclose(
+            state.to_dense(), simulate(circuit).amplitudes, atol=1e-9
+        )
+
+    def test_svd_failing_twice_raises_simulation_error(self, monkeypatch) -> None:
+        def never_converges(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", never_converges)
+        with pytest.raises(SimulationError, match="SVD did not converge at gate 1"):
+            simulate_mps(QuantumCircuit(2).h(0).cx(0, 1))

@@ -7,6 +7,7 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import get_circuit
 from repro.errors import AnalysisError
+from repro.mps.state import MPS_BYTE_LIMIT
 from repro.planner import (
     BACKENDS,
     DENSE_QUBIT_LIMIT,
@@ -16,8 +17,8 @@ from repro.planner import (
 )
 
 
-def _features(family: str, qubits: int, **kwargs):
-    return analyze_circuit(get_circuit(family, qubits), **kwargs)
+def _features(family: str, qubits: int):
+    return analyze_circuit(get_circuit(family, qubits))
 
 
 class TestFeasibility:
@@ -77,15 +78,19 @@ class TestPrecision:
         assert single.memory_bytes == double.memory_bytes // 2
 
 
-class TestApproximation:
-    def test_mps_marks_truncating_runs_approximate(self) -> None:
-        features = analyze_circuit(get_circuit("rqc", 12), bond_cap=2)
-        cost = backend_cost(features, "mps")
-        assert cost.approximate
+class TestForcedMps:
+    def test_feasible_past_the_dense_limit_with_memory_capped(self) -> None:
+        # The qft_30 proxy (bond 2^15) would price 2.88 TiB; the engine's
+        # own limit is the most an MPS run can hold.
+        cost = backend_cost(_features("qft", 30), "mps")
+        assert cost.feasible
+        assert cost.memory_bytes == MPS_BYTE_LIMIT
+        assert cost.reason == ""
 
-    def test_mps_exact_when_bond_fits(self) -> None:
+    def test_small_bond_prices_the_proxy_tensors(self) -> None:
         circuit = QuantumCircuit(6)
         for q in range(6):
             circuit.h(q)
         cost = backend_cost(analyze_circuit(circuit), "mps")
-        assert not cost.approximate
+        assert cost.feasible
+        assert cost.memory_bytes == 3 * 6 * 2 * 16

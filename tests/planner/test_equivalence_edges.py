@@ -6,8 +6,8 @@ Three seams where a wrong answer would hide behind a plausible one:
   sub-epsilon amplitudes change the answer?),
 * the stabilizer tableau vs the dense engine on circuits mixing the whole
   Clifford gate set (same distribution, same Z expectations),
-* MPS bond-cap truncation (is the reported ``truncation_error`` an honest
-  fidelity signal?).
+* forced MPS, which must return the dense state exactly (no bond cap
+  truncates it).
 """
 
 from __future__ import annotations
@@ -16,15 +16,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import get_circuit
 from repro.core.simulator import QGpuSimulator
-from repro.mps import simulate_mps
 from repro.planner import run_backend
 from repro.sparse import simulate_sparse
 from repro.sparse.state import EPSILON
 from repro.statevector.state import simulate
+from tests.strategies import circuits
 
 
 class TestSparseEpsilonBoundary:
@@ -113,38 +114,26 @@ class TestStabilizerVsDense:
             assert probabilities[index] == pytest.approx(uniform, rel=1e-6)
 
 
-class TestMpsTruncationFidelity:
-    def test_wide_cap_is_exact_and_reports_zero_truncation(self) -> None:
-        circuit = get_circuit("rqc", 10)
-        state = simulate_mps(circuit, max_bond=64)
-        assert state.truncation_error < 1e-12
-        np.testing.assert_allclose(
-            state.to_dense(), simulate(circuit).amplitudes, atol=1e-8
-        )
+class TestForcedMpsIsExact:
+    """Forced MPS answers with the dense state or not at all."""
 
-    def test_tight_cap_reports_nonzero_truncation(self) -> None:
-        circuit = get_circuit("rqc", 10)
-        state = simulate_mps(circuit, max_bond=4)
-        assert state.truncation_error > 0
-        # Truncation only discards weight; the norm shrinks, never grows.
-        assert 0 < np.linalg.norm(state.to_dense()) < 1
+    @given(circuit=circuits(max_qubits=10))
+    def test_generated_circuits_match_dense(self, circuit: QuantumCircuit) -> None:
+        _assert_mps_equals_dense(circuit)
 
-    def test_fidelity_recovers_as_the_cap_grows(self) -> None:
-        circuit = get_circuit("rqc", 10)
-        reference = simulate(circuit).amplitudes
+    @pytest.mark.parametrize(
+        "family, qubits",
+        [("qaoa", 14), ("rqc", 14), ("hchain", 14), ("qaoa", 16)],
+    )
+    def test_families_past_the_old_bond_cap(self, family: str, qubits: int) -> None:
+        # A bond cap of 64 left these at fidelity 0.84, 0.42, 0.56 and 0.0005.
+        _assert_mps_equals_dense(get_circuit(family, qubits))
 
-        def fidelity(cap: int) -> float:
-            dense = simulate_mps(circuit, max_bond=cap).to_dense()
-            dense = dense / np.linalg.norm(dense)
-            return float(abs(np.vdot(dense, reference)) ** 2)
 
-        assert fidelity(4) < fidelity(16) < fidelity(32)
-        assert fidelity(32) == pytest.approx(1.0, abs=1e-9)
-
-    def test_simulator_surfaces_truncation_error(self) -> None:
-        circuit = get_circuit("rqc", 10)
-        result = QGpuSimulator(backend="mps", max_bond=4).run(circuit)
-        assert result.backend == "mps"
-        assert result.truncation_error > 0
-        exact = QGpuSimulator(backend="mps", max_bond=64).run(circuit)
-        assert exact.truncation_error < 1e-12
+def _assert_mps_equals_dense(circuit: QuantumCircuit) -> None:
+    result = QGpuSimulator(backend="mps").run(circuit)
+    assert result.backend == "mps"
+    mps = result.amplitudes
+    dense = simulate(circuit).amplitudes
+    np.testing.assert_allclose(mps, dense, atol=1e-8)
+    assert abs(np.vdot(mps, dense)) ** 2 >= 1 - 1e-9

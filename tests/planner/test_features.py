@@ -2,20 +2,17 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import get_circuit
-from repro.errors import AnalysisError
 from repro.planner import analyze_circuit
 from repro.planner.features import PROBE_SUPPORT_CEILING
 
 
 class TestBasics:
-    def test_bad_bond_cap_rejected(self) -> None:
-        with pytest.raises(AnalysisError, match="bond_cap"):
-            analyze_circuit(QuantumCircuit(3).h(0), bond_cap=0)
-
     def test_empty_circuit_is_clifford_with_unit_support(self) -> None:
         features = analyze_circuit(QuantumCircuit(4))
         assert features.is_clifford
@@ -87,7 +84,6 @@ class TestBondProxy:
             circuit.h(q)
         features = analyze_circuit(circuit)
         assert features.bond_estimate == 1
-        assert not features.mps_truncates
 
     def test_entangling_ladder_grows_bond(self) -> None:
         circuit = QuantumCircuit(8)
@@ -96,8 +92,18 @@ class TestBondProxy:
         features = analyze_circuit(circuit)
         assert features.bond_estimate > 1
 
-    def test_cap_flags_truncation(self) -> None:
-        circuit = get_circuit("rqc", 12)
-        capped = analyze_circuit(circuit, bond_cap=2)
-        assert capped.mps_truncates
-        assert capped.bond_estimate <= 2
+    def test_proxy_is_uncapped_up_to_the_exact_ceiling(self) -> None:
+        # A qft_30 proxy reaches the middle cut's ceiling 2^15, although
+        # the exact run keeps bond 1.
+        features = analyze_circuit(get_circuit("qft", 30))
+        assert features.bond_estimate == 1 << 15
+
+    def test_work_integral_saturates_past_float_range(self) -> None:
+        # Every gate spans all 799 cuts and doubles each bond, so the
+        # middle cut reaches its ceiling 2^400 and (2 chi)^3 exceeds 2^1023.
+        circuit = QuantumCircuit(800)
+        for _ in range(400):
+            circuit.cx(0, 799)
+        features = analyze_circuit(circuit)
+        assert features.bond_estimate == 1 << 400
+        assert features.mps_ops == sys.float_info.max

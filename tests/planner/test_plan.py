@@ -51,10 +51,9 @@ class TestRouting:
         mps = plan(get_circuit("iqp", 31),
                    dataclasses.replace(DEFAULT_CONFIG, backend="mps"))
         assert mps.backend == "mps"
-        # Forcing MPS keeps its truncation note.
-        assert mps.approximate
-        assert "may truncate" in mps.rationale
-        assert "approximate: bond proxy exceeds cap 64" in mps.render()
+        assert mps.rationale == "backend mps forced by config"
+        assert "approximate" not in mps.render()
+        assert "truncat" not in mps.render()
 
 
 class TestDeterminism:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.circuits.library import get_circuit
+from repro.core.simulator import QGpuSimulator
 from repro.errors import FaultInjectionError
 from repro.reliability import FaultEvent, FaultKind, FaultPlan
 
@@ -150,3 +152,39 @@ class TestServiceLayerKinds:
                          worker_stall_rate=0.2, cache_corrupt_rate=0.4)
         assert plan.to_spec() == "seed=9,transfer=0.1,codec=0.0,oom=0"
         assert plan.describe() == "seed 9, transfer faults 10.0%"
+
+
+class TestActiveCountsInRunKindsOnly:
+    """A plan is active only if a run can inject something from it."""
+
+    SERVICE_ONLY = (
+        FaultPlan(seed=1, worker_crash_rate=0.5),
+        FaultPlan(seed=1, worker_stall_rate=0.5, cache_corrupt_rate=0.5),
+        FaultPlan(seed=1, forced=(FaultEvent(FaultKind.WORKER_CRASH, gate_index=0),)),
+    )
+
+    @pytest.mark.parametrize("plan", SERVICE_ONLY)
+    def test_service_only_plans_are_inactive(self, plan: FaultPlan) -> None:
+        assert not plan.active
+
+    @pytest.mark.parametrize(
+        "kind", [FaultKind.BIT_FLIP, FaultKind.TRUNCATION, FaultKind.DROP,
+                 FaultKind.DECODE, FaultKind.OOM],
+    )
+    def test_forced_in_run_event_is_active(self, kind: FaultKind) -> None:
+        assert FaultPlan(forced=(FaultEvent(kind, gate_index=0),)).active
+
+    def test_dense_run_reports_as_a_plan_free_run(self) -> None:
+        circuit = get_circuit("bv", 8)
+        plain = QGpuSimulator().run(circuit)
+        planned = QGpuSimulator(
+            fault_plan=FaultPlan(seed=1, worker_crash_rate=0.5)
+        ).run(circuit)
+        assert planned.reliability == plain.reliability
+        assert planned.reliability.transfers == 0
+
+    def test_stabilizer_run_completes(self) -> None:
+        result = QGpuSimulator(
+            backend="stabilizer", fault_plan=FaultPlan(seed=1, worker_crash_rate=0.5)
+        ).run(get_circuit("bv", 8))
+        assert result.backend == "stabilizer"

@@ -84,16 +84,22 @@ class TestResultSerialisation:
         result = JobResult(
             counts={"3": 5}, state_sha256="ab", num_qubits=2,
             backend="sparse", precision="double", precision_fallback=True,
-            truncation_error=0.25,
         )
         assert JobResult.from_dict(result.to_dict()) == result
+        assert "truncation_error" not in result.to_dict()
 
     def test_legacy_payload_defaults(self) -> None:
         restored = JobResult.from_dict({"counts": {}, "state_sha256": "cd"})
         assert restored.backend == "statevector"
         assert restored.precision == "double"
         assert not restored.precision_fallback
-        assert restored.truncation_error == 0.0
+
+    def test_payload_with_a_retired_key_loads(self) -> None:
+        # Journals and caches written while MPS could truncate carry a
+        # ``truncation_error`` key; from_dict reads named keys only.
+        payload = JobResult(counts={"1": 3}, backend="mps").to_dict()
+        restored = JobResult.from_dict({**payload, "truncation_error": 0.25})
+        assert restored == JobResult.from_dict(payload)
 
 
 class TestExecuteJob:

@@ -103,6 +103,25 @@ class TestEstimate:
         assert "error:" in capsys.readouterr().err
 
 
+class TestForcedMps:
+    def test_refusal_exits_one_with_the_engines_message(
+        self, monkeypatch, capsys
+    ) -> None:
+        monkeypatch.setattr("repro.mps.state.MPS_BYTE_LIMIT", 1 << 20)
+        assert main(["simulate", "--family", "hchain", "--qubits", "16",
+                     "--backend", "mps", "--shots", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: MPS refuses at gate ")
+        assert "bond" in err and "bytes, past the 1048576-byte limit" in err
+
+    def test_exact_run_prints_no_truncation(self, capsys) -> None:
+        assert main(["simulate", "--family", "qaoa", "--qubits", "10",
+                     "--backend", "mps", "--shots", "10"]) == 0
+        out = capsys.readouterr().out
+        assert "backend: mps, precision: double" in out
+        assert "truncation" not in out
+
+
 class TestOtherCommands:
     def test_profile(self, capsys) -> None:
         assert main(["profile", "--family", "gs", "--qubits", "10"]) == 0
@@ -413,10 +432,12 @@ class TestRetiredSurface:
             ["transpile", "--family", "bv", "--qubits", "4", "--profile"],
             ["transpile", "--family", "bv", "--qubits", "4", "--memory"],
             ["reliability", "--family", "bv", "--qubits", "4", "--machine", "p100"],
+            ["plan", "--family", "bv", "--qubits", "4", "--max-bond", "8"],
         ],
         ids=["chaos", "http-port", "http-host", "http-linger",
              "memory-budget-gb", "prom", "simulate-profile", "simulate-memory",
-             "transpile-profile", "transpile-memory", "reliability-machine"],
+             "transpile-profile", "transpile-memory", "reliability-machine",
+             "plan-max-bond"],
     )
     def test_parser_rejects(self, argv, capsys) -> None:
         with pytest.raises(SystemExit) as exit_info:
@@ -502,6 +523,24 @@ class TestRetiredSurface:
         assert not retired & kinds
         for name in retired:
             assert decisions.get(name, "").startswith("retired"), name
+
+    def test_planner_census_keeps_exact_mps_and_retires_the_approximate_tier(
+        self,
+    ) -> None:
+        section = (ROOT / "DESIGN.md").read_text().split("### Planner census", 1)[1]
+        section = section.split("\n#", 1)[0]
+        decisions: dict[str, str] = {}
+        for row in section.splitlines():
+            cells = [cell.strip() for cell in row.strip().strip("|").split("|")]
+            if len(cells) == 5:
+                decisions[cells[0]] = cells[3]
+        exact = next(d for f, d in decisions.items() if f.startswith("exact forced MPS"))
+        assert exact.startswith("keep")
+        retired = next(
+            d for f, d in decisions.items()
+            if all(name in f for name in ("bond cap", "`truncation_error`", "`approximate`"))
+        )
+        assert retired.startswith("retired")
 
     @pytest.mark.parametrize(
         "doc",
